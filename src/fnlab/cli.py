@@ -64,10 +64,13 @@ def _load_pair(path: str):
 
 
 def _parse_cap(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError("capacity must be 'a,b'")
-    return int(parts[0]), int(parts[1])
+    try:
+        a, b = (int(t) for t in text.split(","))
+    except ValueError:
+        raise ParseError("capacity must be 'a,b'") from None
+    if a < 1 or b < 1:
+        raise ParseError("capacities must be at least 1")
+    return a, b
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -112,7 +115,22 @@ def cmd_frontier(args) -> int:
     return EXIT_OK
 
 
+# the options each construction cannot do without
+_CONSTRUCT_NEEDS = {
+    "powerset": ("atoms",),
+    "interval": ("n",),
+    "tree": ("lam", "kap"),
+    "subalgebra": ("ambient", "gens"),
+    "exponential": ("base",),
+}
+
+
 def cmd_construct(args) -> int:
+    missing = [o for o in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, o) is None]
+    if missing:
+        raise ParseError(f"construct {args.kind} needs --" + " and --".join(missing))
+    if args.kind == "coproduct" and not args.cofactor and args.atoms_list is None:
+        raise ParseError("construct coproduct needs --cofactor or --atoms-list")
     if args.kind == "powerset":
         A = powerset_algebra(args.atoms)
     elif args.kind == "interval":
@@ -185,6 +203,8 @@ def cmd_gen(args) -> int:
     seed = args.sub_seed if args.sub_seed is not None else args.seed
     rng = random.Random(seed)
     if args.gen_cmd == "poset":
+        if args.n < 0:
+            raise ParseError("--n must be at least 0")
         P = random_poset(args.n, rng, args.density)
         _emit(ser.dumps(ser.poset_to_obj(P)), args.output)
     else:

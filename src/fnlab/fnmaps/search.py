@@ -1,19 +1,25 @@
 """Exact capacity-bounded pair search and the Pareto frontier walk.
 
-``search_pair`` is a complete backtracking search: it decides whether a
-valid pair within capacities ``(a, b)`` exists and returns a witness when
-one does.  Choices are made per element in index order (``f(x)`` then
-``g(x)``), candidate sets are enumerated in least-index-first order, and
-both interpolation clauses are propagated as the assignment grows, so the
-result is deterministic bit for bit.  Validity is pointwise monotone, so
-the search may fix every image to its exact capacity without losing
-completeness.
+``search_pair`` is a complete search that decides whether a valid pair
+within capacities ``(a, b)`` exists and returns a witness when one does.
+Slot ``2x`` holds ``f(x)`` and slot ``2x + 1`` holds ``g(x)``; a slot's
+domain is a bitmask over the indices of its candidate sets, listed least
+indices first.  Validity is pointwise monotone, so every image may be fixed
+to its exact capacity without losing completeness.
+
+Both interpolation clauses are one binary constraint: for comparable
+``x != y`` with box ``B = [min, max]``, ``f(x) ∩ g(y) ∩ B`` is non-empty.
+The search keeps every domain arc-consistent (AC-3 at the root and after
+each assignment), branches on the unassigned slot with the fewest values
+left (ties to the least slot index) and tries values least index first, so
+the witness is deterministic bit for bit.  Every value tried counts one
+node, forced slots included.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from ..errors import BudgetExceeded
@@ -23,13 +29,24 @@ from .core import CapacityPair, FnPair
 DEFAULT_NODE_BUDGET = 10**8
 
 
-def _candidates(n: int, x: int, size: int) -> list[int]:
-    """All bitmasks containing ``x`` with ``size`` bits, least indices first."""
-    others = [i for i in range(n) if i != x]
-    base = 1 << x
-    return [
-        base | sum(1 << i for i in combo) for combo in combinations(others, size - 1)
-    ]
+@lru_cache(maxsize=16)
+def _slot_tables(n: int, size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each element ``x``: the ``size``-element sets containing ``x``,
+    least indices first, and for each element ``r`` the bitmask of the
+    indices of those sets that hold ``r``."""
+    tables = []
+    for x in range(n):
+        others = [i for i in range(n) if i != x]
+        cands = tuple(
+            (1 << x) | sum(1 << i for i in combo)
+            for combo in combinations(others, size - 1)
+        )
+        contains = [0] * n
+        for i, m in enumerate(cands):
+            for r in bits_of(m):
+                contains[r] |= 1 << i
+        tables.append((cands, tuple(contains)))
+    return tuple(tables)
 
 
 def search_pair(
@@ -47,95 +64,68 @@ def search_pair(
     n = P.n
     if n == 0:
         return FnPair(P, (), ())
-    asize = min(a, n)
-    bsize = min(b, n)
-    fcands = [_candidates(n, x, asize) for x in range(n)]
-    gcands = [_candidates(n, x, bsize) for x in range(n)]
-    up = P.up
-    down = P.down
-    downs = [list(bits_of(down[x])) for x in range(n)]
-    ups = [list(bits_of(up[x])) for x in range(n)]
-    box = [[up[p] & down[q] for q in range(n)] for p in range(n)]
+    fsets, gsets = _slot_tables(n, min(a, n)), _slot_tables(n, min(b, n))
+    # cands[u] lists the candidate sets of slot u; contains[u][r] is the
+    # bitmask of the indices of those that hold element r
+    tables = [t for x in range(n) for t in (fsets[x], gsets[x])]
+    cands = [c for c, _ in tables]
+    contains = [h for _, h in tables]
+    # arcs[v]: (u, box) for each slot u whose support depends on slot v
+    arcs = [[] for _ in range(2 * n)]
+    up, down = P.up, P.down
+    for x in range(n):
+        for y in bits_of((up[x] | down[x]) & ~(1 << x)):
+            box = list(bits_of(up[x] & down[y] | up[y] & down[x]))
+            arcs[2 * y + 1].append((2 * x, box))
+            arcs[2 * y].append((2 * x + 1, box))
 
-    f = [0] * n
-    g = [0] * n
+    def revise(dom: list[int], pending: list[int]) -> bool:
+        """Make ``dom`` arc-consistent after the slots in ``pending``
+        shrank; False when some domain empties."""
+        while pending:
+            v = pending.pop()
+            dv, cv = dom[v], contains[v]
+            for u, box in arcs[v]:
+                cu = contains[u]
+                support = 0
+                for r in box:
+                    if cv[r] & dv:
+                        support |= cu[r]
+                du = dom[u] & support
+                if du != dom[u]:
+                    if not du:
+                        return False
+                    dom[u] = du
+                    if u not in pending:
+                        pending.append(u)
+        return True
+
     nodes = 0
-    # Slot 2x assigns f(x), slot 2x+1 assigns g(x).
-    total = 2 * n
 
-    def extend(slot: int) -> bool:
+    def extend(dom: list[int], free: list[int]) -> list[int] | None:
         nonlocal nodes
-        if slot == total:
-            return True
-        x, is_g = divmod(slot, 2)
-        if not is_g:
-            for fm in fcands[x]:
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceeded(nodes, node_budget)
-                ok = True
-                for p in downs[x]:
-                    t = fm & box[p][x]
-                    if p < x:
-                        if not g[p] & t:
-                            ok = False
-                            break
-                    elif not t:
-                        ok = False
-                        break
-                if ok:
-                    for q in ups[x]:
-                        t = fm & box[x][q]
-                        if q < x:
-                            if not g[q] & t:
-                                ok = False
-                                break
-                        elif not t:
-                            ok = False
-                            break
-                if ok:
-                    f[x] = fm
-                    if extend(slot + 1):
-                        return True
-            return False
-        cands = gcands[x]
-        if x == 0 and asize == bsize:
-            # When a == b, swapping (f, g) maps solutions to solutions, so
-            # the first g-choice may start at the position picked for f(0).
-            cands = cands[fcands[0].index(f[0]):]
-        for gm in cands:
+        if not free:
+            return dom
+        u = min(free, key=lambda s: dom[s].bit_count())
+        rest = [s for s in free if s != u]
+        for i in bits_of(dom[u]):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(nodes, node_budget)
-            ok = True
-            for p in downs[x]:
-                t = gm & box[p][x]
-                if p <= x:
-                    if not f[p] & t:
-                        ok = False
-                        break
-                elif not t:
-                    ok = False
-                    break
-            if ok:
-                for q in ups[x]:
-                    t = gm & box[x][q]
-                    if q <= x:
-                        if not f[q] & t:
-                            ok = False
-                            break
-                    elif not t:
-                        ok = False
-                        break
-            if ok:
-                g[x] = gm
-                if extend(slot + 1):
-                    return True
-        return False
+            child = dom.copy()
+            child[u] = 1 << i
+            if revise(child, [u]) and (found := extend(child, rest)) is not None:
+                return found
+        return None
 
-    if extend(0):
-        return FnPair(P, tuple(f), tuple(g))
-    return None
+    dom = [(1 << len(c)) - 1 for c in cands]
+    if not revise(dom, list(range(2 * n))):
+        return None
+    found = extend(dom, list(range(2 * n)))
+    if found is None:
+        return None
+    images = [c[d.bit_length() - 1] for c, d in zip(cands, found)]
+    return FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
 
 
 def feasible(
@@ -161,24 +151,6 @@ class Frontier:
         return any(a <= cap[0] and b <= cap[1] for a, b in self.points)
 
 
-def _beta(P: Poset, a: int, node_budget: int) -> int:
-    """Least ``b`` with ``(a, b)`` feasible, by binary search; ``(a, n)`` is
-    always feasible since ``g(x) = (↓x ∪ ↑x)`` pairs with singleton ``f``."""
-    lo, hi = 1, max(P.n, 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(P, (a, mid), node_budget):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _beta_task(args):
-    P, a, node_budget = args
-    return a, _beta(P, a, node_budget)
-
-
 def _pareto_from_betas(betas: dict[int, int]) -> tuple[tuple[int, int], ...]:
     points = []
     prev = None
@@ -199,17 +171,13 @@ def frontier(
 
     Feasibility is monotone in both capacities and symmetric under swapping
     them, so the walk only descends the boundary for ``a`` up to the
-    diagonal and mirrors the result.  With ``workers > 1`` the per-``a``
-    boundary values are computed on a process pool; the returned frontier is
-    identical to the sequential result.
+    diagonal and mirrors the result.  The walk is sequential; ``workers``
+    is accepted for compatibility and every value gives the same result.
+    When the budget runs out, the :class:`BudgetExceeded` carries the
+    boundary points confirmed so far as ``partial``.
     """
     if P.n == 0:
         return Frontier(((1, 1),))
-    if workers > 1:
-        tasks = [(P, a, node_budget) for a in range(1, P.n + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            betas = dict(pool.map(_beta_task, tasks))
-        return Frontier(_pareto_from_betas(betas))
     betas: dict[int, int] = {}
     prev = None
     for a in range(1, P.n + 1):

@@ -55,8 +55,17 @@ def poset_to_obj(P: Poset) -> dict:
 def poset_from_obj(obj) -> Poset:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ParseError("poset object needs an 'n' field")
-    covers = [tuple(edge) for edge in obj.get("covers", [])]
-    return poset_from_covers(int(obj["n"]), covers, obj.get("labels"))
+    try:
+        n = int(obj["n"])
+        covers = [(int(lo), int(hi)) for lo, hi in obj.get("covers", [])]
+    except (TypeError, ValueError):
+        raise ParseError("poset needs an integer 'n' and [lo, hi] integer covers") from None
+    if n < 0:
+        raise ParseError("poset 'n' must be at least 0")
+    labels = obj.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise ParseError("poset 'labels' must name each of the n elements")
+    return poset_from_covers(n, covers, labels)
 
 
 # ----------------------------------------------------------------- pairs

@@ -14,6 +14,13 @@ def write(path, text):
     return str(path)
 
 
+def assert_one_error_line(capsys):
+    """Check that stderr holds a single ``error:`` line; return stdout."""
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.out
+
+
 @pytest.fixture
 def diamond_file(tmp_path):
     return write(tmp_path / "diamond.json", ser.dumps(ser.poset_to_obj(diamond())))
@@ -78,6 +85,28 @@ class TestSearch:
     def test_bad_cap_exit_two(self, diamond_file):
         assert main(["search", diamond_file, "--cap", "2"]) == 2
 
+    def test_non_integer_cap_exit_two(self, diamond_file, capsys):
+        assert main(["search", diamond_file, "--cap", "x,1"]) == 2
+        assert_one_error_line(capsys)
+
+    def test_zero_cap_exit_two(self, diamond_file, capsys):
+        assert main(["search", diamond_file, "--cap", "0,1"]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            '{"n": 3, "covers": [[0]]}',
+            '{"n": "x", "covers": []}',
+            '{"n": -1, "covers": []}',
+            '{"n": 2, "covers": [], "labels": ["a"]}',
+        ],
+    )
+    def test_malformed_poset_exit_two(self, tmp_path, capsys, poset):
+        f = write(tmp_path / "p.json", poset)
+        assert main(["search", f, "--cap", "1,1"]) == 2
+        assert_one_error_line(capsys)
+
 
 class TestFrontier:
     def test_diamond_rows(self, diamond_file, capsys):
@@ -93,10 +122,21 @@ class TestFrontier:
         from fnlab.poset import chain as mkchain
 
         f = write(tmp_path / "c5.json", ser.dumps(ser.poset_to_obj(mkchain(5))))
-        assert main(["frontier", f, "--budget", "400"]) == 3
+        assert main(["frontier", f, "--budget", "5"]) == 3
         out = capsys.readouterr().out
         assert out.startswith("1,5\n5,1\n")
         assert "# inconclusive" in out
+
+
+    def test_budget_outcome_same_for_every_worker_count(self, tmp_path, capsys):
+        assert main(["gen", "poset", "--n", "8", "--seed", "3"]) == 0
+        f = write(tmp_path / "p8.json", capsys.readouterr().out)
+        outs = []
+        for w in ("1", "2"):
+            assert main(["frontier", f, "--workers", w, "--budget", "5"]) == 3
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "# inconclusive" in outs[0]
 
 
 class TestConstruct:
@@ -129,6 +169,10 @@ class TestConstruct:
 
     def test_size_cap_exit_three(self, capsys):
         assert main(["construct", "powerset", "--atoms", "30"]) == 3
+
+    def test_missing_atoms_exit_two(self, capsys):
+        assert main(["construct", "powerset"]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestTransport:
@@ -209,6 +253,10 @@ class TestGen:
         assert main(["gen", "poset", "--n", "5", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
         ser.poset_from_obj(json.loads(first))
+
+    def test_negative_size_exit_two(self, capsys):
+        assert main(["gen", "poset", "--n", "-1"]) == 2
+        assert assert_one_error_line(capsys) == ""
 
     def test_global_seed_position(self, capsys):
         assert main(["--seed", "9", "gen", "poset", "--n", "5"]) == 0

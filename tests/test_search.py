@@ -16,8 +16,25 @@ from fnlab.fnmaps import (
     wellorder_map,
 )
 from fnlab.gen import random_poset
-from fnlab.oracle import brute_feasible, brute_frontier, enumerate_posets
+from fnlab.boolalg import powerset_algebra
+from fnlab.oracle import (
+    brute_feasible,
+    brute_frontier,
+    enumerate_posets,
+    reference_valid_pair,
+)
 from fnlab.poset import antichain, chain, diamond
+
+# Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
+# model of the same problem, solved separately, gave the same points.
+FROZEN_BEYOND_ORACLE = {
+    "chain_8": (chain(8), ((1, 8), (2, 4), (3, 3), (4, 2), (8, 1))),
+    "chain_10": (chain(10), ((1, 10), (2, 5), (3, 3), (5, 2), (10, 1))),
+    "powerset_3": (
+        powerset_algebra(3).as_poset(),
+        ((1, 8), (2, 4), (3, 3), (4, 2), (8, 1)),
+    ),
+}
 
 
 class TestSearchPair:
@@ -135,3 +152,27 @@ class TestFrontier:
                 assert not feasible(P, (a, b - 1))
             if a > 1:
                 assert not feasible(P, (a - 1, b))
+
+
+class TestBeyondOracle:
+    @pytest.mark.parametrize("name", sorted(FROZEN_BEYOND_ORACLE))
+    def test_frozen_frontier(self, name):
+        P, points = FROZEN_BEYOND_ORACLE[name]
+        assert frontier(P).points == points
+        for a, b in points:
+            w = search_pair(P, (a, b))
+            assert w is not None
+            ca, cb = w.capacities()
+            assert ca <= a and cb <= b
+            fs = [w.f_set(x) for x in range(P.n)]
+            gs = [w.g_set(x) for x in range(P.n)]
+            assert reference_valid_pair(P, fs, gs)
+            if a > 1:
+                assert search_pair(P, (a - 1, b)) is None
+            if b > 1:
+                assert search_pair(P, (a, b - 1)) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_six_element_frontier_matches_oracle(self, seed):
+        P = random_poset(6, random.Random(seed))
+        assert frontier(P).points == brute_frontier(P, max_size=6)
