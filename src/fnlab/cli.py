@@ -125,6 +125,10 @@ _CONSTRUCT_NEEDS = {
 }
 
 
+# the least value each size option accepts, in every command that has it
+_SIZE_LEAST = {"n": 0, "atoms": 0, "lam": 0, "kap": 1}
+
+
 def cmd_construct(args) -> int:
     missing = [o for o in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, o) is None]
     if missing:
@@ -203,8 +207,6 @@ def cmd_gen(args) -> int:
     seed = args.sub_seed if args.sub_seed is not None else args.seed
     rng = random.Random(seed)
     if args.gen_cmd == "poset":
-        if args.n < 0:
-            raise ParseError("--n must be at least 0")
         P = random_poset(args.n, rng, args.density)
         _emit(ser.dumps(ser.poset_to_obj(P)), args.output)
     else:
@@ -305,6 +307,10 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "transport" and not args.pair:
             raise ParseError("transport needs at least one --pair")
+        for name, least in _SIZE_LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ParseError(f"--{name} must be at least {least}")
         return args.run(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,14 +4,18 @@ Everything here re-derives its answers from first principles and shares no
 verification or search code with the optimized kernels; agreement between
 the two sides is what the differential tests check.  None of it is meant to
 be fast beyond desk scale.
+
+Feasibility does not depend on labels, so the feasibility tables are cached
+per isomorphism class: each is keyed on a canonical relabeling of the poset
+(:func:`_canonical_rows`), and the 4231 labeled 5-element posets need only
+63 classes' tables.  numpy is imported by the table builder alone, so that
+importing this module (and the CLI) stays cheap.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-
-import numpy as np
+from itertools import combinations, groupby, permutations, product
 
 from .boolalg import CoproductAlgebra
 from .errors import SizeExceeded
@@ -99,10 +103,41 @@ def _exact_size_choices(n: int, x: int, size: int) -> list[int]:
     ]
 
 
+def _canonical_rows(P: Poset) -> tuple[int, ...]:
+    """Up-rows of a canonical relabeling of ``P``: isomorphic posets, and
+    only they, get the same rows.
+
+    Elements are sorted by the invariant ``(|↓x|, |↑x|)``; an isomorphism
+    preserves it, so it can only permute elements within blocks of equal
+    invariant.  The least rows tuple over every relabeling that permutes
+    inside the blocks is therefore the same for the whole isomorphism class,
+    and it is itself a relabeling of ``P``.  At most ``n!`` relabelings are
+    tried, which is fine at desk scale.
+    """
+
+    def invariant(x):
+        return P.down[x].bit_count(), P.up[x].bit_count()
+
+    blocks = [list(b) for _, b in groupby(sorted(range(P.n), key=invariant), key=invariant)]
+
+    def relabeled(order):
+        pos = [0] * P.n
+        for i, x in enumerate(order):
+            pos[x] = i
+        return tuple(sum(1 << pos[y] for y in bits_of(P.up[x])) for x in order)
+
+    return min(
+        relabeled([x for block in choice for x in block])
+        for choice in product(*(permutations(b) for b in blocks))
+    )
+
+
 @lru_cache(maxsize=None)
-def _needed_g_table(P: Poset, a: int, cell_budget: int) -> int:
+def _needed_g_table(rows: tuple[int, ...], a: int, cell_budget: int) -> int:
     """Smallest worst-case ``g`` image size over all exact-``a`` choices of
-    ``f``, by exhaustive tensor enumeration; 127 when no ``f`` works.
+    ``f`` on the poset with up-rows ``rows`` (a key from
+    :func:`_canonical_rows`), by exhaustive tensor enumeration; 127 when no
+    ``f`` works.
 
     For a fixed ``f`` the two interpolation clauses decompose per element:
     ``g(x)`` must hit ``f(p) ∩ [p, x]`` for every ``p <= x`` and
@@ -111,7 +146,10 @@ def _needed_g_table(P: Poset, a: int, cell_budget: int) -> int:
     broadcasting the elementwise maximum over the joint ``f`` space and
     taking the minimum is therefore an exhaustive sweep of all pairs.
     """
-    n = P.n
+    import numpy as np
+
+    n = len(rows)
+    P = _poset_from_up_rows(n, list(rows))
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
     K = len(cands[0]) if n else 1
     if K**n > cell_budget:
@@ -162,16 +200,17 @@ def brute_feasible(
         raise SizeExceeded(f"oracle capped at {max_size} elements, got {P.n}")
     if P.n == 0:
         return True
-    return _needed_g_table(P, min(a, P.n), cell_budget) <= b
+    return _needed_g_table(_canonical_rows(P), min(a, P.n), cell_budget) <= b
 
 
 def brute_frontier(P: Poset, max_size: int = ORACLE_MAX_ELEMENTS):
     """Pareto-minimal feasible capacities straight from the boundary table."""
+    if P.n > max_size:
+        raise SizeExceeded(f"oracle capped at {max_size} elements, got {P.n}")
     if P.n == 0:
         return ((1, 1),)
-    betas = {}
-    for a in range(1, P.n + 1):
-        betas[a] = _needed_g_table(P, a, ORACLE_CELL_BUDGET) if P.n <= max_size else None
+    rows = _canonical_rows(P)
+    betas = {a: _needed_g_table(rows, a, ORACLE_CELL_BUDGET) for a in range(1, P.n + 1)}
     points = []
     prev = None
     for a in sorted(betas):

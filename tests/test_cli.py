@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fnlab
 from fnlab import serialize as ser
 from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.cli import main
@@ -174,6 +179,19 @@ class TestConstruct:
         assert main(["construct", "powerset"]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["powerset", "--atoms", "-1"],
+            ["interval", "--n", "-1"],
+            ["tree", "--lam", "-1", "--kap", "2"],
+            ["tree", "--lam", "2", "--kap", "0"],
+        ],
+    )
+    def test_negative_size_exit_two(self, args, capsys):
+        assert main(["construct", *args]) == 2
+        assert assert_one_error_line(capsys) == ""
+
 
 class TestTransport:
     def test_retract(self, tmp_path, capsys):
@@ -245,6 +263,16 @@ class TestOracle:
         assert main(["oracle", "frontier", diamond_file]) == 0
         assert capsys.readouterr().out == "1,4\n2,2\n4,1\n"
 
+    @pytest.mark.parametrize("cmd", [["feasible", "--cap", "1,1"], ["frontier"]])
+    def test_size_cap_exit_three(self, tmp_path, capsys, cmd):
+        c6 = write(tmp_path / "c6.json", ser.dumps(ser.poset_to_obj(chain(6))))
+        assert main(["oracle", cmd[0], c6, *cmd[1:]]) == 3
+        assert assert_one_error_line(capsys) == ""
+
+    def test_count_negative_size_exit_two(self, capsys):
+        assert main(["oracle", "count", "--n", "-1"]) == 2
+        assert assert_one_error_line(capsys) == ""
+
 
 class TestGen:
     def test_poset_deterministic(self, capsys):
@@ -275,3 +303,19 @@ class TestGen:
         out = tmp_path / "g.json"
         assert main(["gen", "pair", diamond_file, "-o", str(out)]) == 0
         assert out.exists()
+
+
+def test_import_leaves_numpy_unloaded():
+    """Only the oracle's tables use numpy, so starting the CLI must not
+    import it.  Runs in a fresh interpreter on the imported ``fnlab``."""
+    env = dict(os.environ)
+    src_root = str(Path(fnlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fnlab.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

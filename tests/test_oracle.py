@@ -7,14 +7,30 @@ from fnlab.fnmaps import FnPair, verify_pair, verify_single
 from fnlab.gen import random_poset, random_total_map
 from fnlab.oracle import (
     LABELED_POSET_COUNTS,
+    ORACLE_CELL_BUDGET,
+    _canonical_rows,
+    _needed_g_table,
     brute_feasible,
+    brute_frontier,
     brute_minmax_in_subset,
     brute_pair_product_feasible,
     enumerate_posets,
     reference_valid_pair,
     reference_valid_single,
 )
-from fnlab.poset import SubsetView, antichain, chain, diamond
+from fnlab.poset import SubsetView, _poset_from_up_rows, antichain, bits_of, chain, diamond
+
+# Unlabeled poset counts (OEIS A000112; Brinkmann & McKay 2002): one
+# canonical key per isomorphism class.
+UNLABELED_POSET_COUNTS = (1, 1, 2, 5, 16, 63)
+
+
+def relabel(P, perm):
+    """``P`` with element ``x`` renamed ``perm[x]``."""
+    rows = [0] * P.n
+    for x in range(P.n):
+        rows[perm[x]] = sum(1 << perm[y] for y in bits_of(P.up[x]))
+    return _poset_from_up_rows(P.n, rows)
 
 
 class TestEnumeration:
@@ -63,6 +79,52 @@ class TestBruteFeasible:
                         assert brute_feasible(P, (a, b)) == brute_pair_product_feasible(
                             P, (a, b)
                         )
+
+
+class TestBruteFrontier:
+    def test_size_guard(self):
+        with pytest.raises(SizeExceeded):
+            brute_frontier(chain(6))
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n", range(6))
+    def test_one_key_per_isomorphism_class(self, n):
+        keys = {_canonical_rows(P) for P in enumerate_posets(n)}
+        assert len(keys) == UNLABELED_POSET_COUNTS[n]
+
+    def test_key_is_idempotent(self):
+        for n in range(6):
+            for key in {_canonical_rows(P) for P in enumerate_posets(n)}:
+                assert _canonical_rows(_poset_from_up_rows(n, list(key))) == key
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(0xCA11)
+        drawn = [random_poset(rng.randint(5, 6), rng) for _ in range(12)]
+        for P in [*enumerate_posets(4), *drawn]:
+            key, points = _canonical_rows(P), brute_frontier(P, max_size=6)
+            for _ in range(3):
+                perm = list(range(P.n))
+                rng.shuffle(perm)
+                Q = relabel(P, perm)
+                assert _canonical_rows(Q) == key
+                assert brute_frontier(Q, max_size=6) == points
+
+    def test_table_of_key_is_table_of_poset(self):
+        """The cached table built from the key equals the table built from
+        the labeled poset's own rows, uncached."""
+        for n in range(1, 5):
+            for P in enumerate_posets(n):
+                key = _canonical_rows(P)
+                for a in range(1, n + 1):
+                    own = _needed_g_table.__wrapped__(P.up, a, ORACLE_CELL_BUDGET)
+                    assert _needed_g_table(key, a, ORACLE_CELL_BUDGET) == own
+
+    def test_sweep_builds_one_table_per_class_and_capacity(self):
+        _needed_g_table.cache_clear()
+        for P in enumerate_posets(5):
+            brute_frontier(P)
+        assert _needed_g_table.cache_info().currsize == UNLABELED_POSET_COUNTS[5] * 5
 
 
 class TestReferenceVerifier:
