@@ -10,11 +10,17 @@ Constructions provided: powerset, generated subalgebra, interval algebra,
 tree algebra, coproduct (free product), and the exponential (the clopen
 algebra of the hyperspace of the Stone dual, here the powerset over the
 nonzero elements since every filter of a finite algebra is principal).
+
+Size caps: every algebra goes through the :class:`BooleanAlgebra`
+constructor, which refuses more than ``ALGEBRA_CAP`` elements or atoms; a
+builder checks that cap earlier only where it would do exponential work
+first.  The element order (``as_poset``) obeys the poset cap ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import (
     DegenerateCofactor,
@@ -23,10 +29,16 @@ from .errors import (
     SizeExceeded,
     ZeroMember,
 )
-from .poset import Poset, bits_of
+from .poset import Poset, bits_of, check_poset_size
 
-DEFAULT_ALGEBRA_CAP = 2**20
-DEFAULT_EXP_BASE_CAP = 16
+ALGEBRA_CAP = 2**20
+
+
+def _check_power(exponent: int, what: str) -> None:
+    """Refuse ``2**exponent`` of ``what`` above ``ALGEBRA_CAP``, without
+    computing the power."""
+    if exponent >= ALGEBRA_CAP.bit_length():
+        raise SizeExceeded(f"2^{exponent} {what} exceed cap {ALGEBRA_CAP}")
 
 
 class BooleanAlgebra:
@@ -39,6 +51,14 @@ class BooleanAlgebra:
     """
 
     def __init__(self, k: int, carrier=None, provenance=None, _validate=True):
+        if k < 0:
+            raise ValueError(f"atom count {k} is negative")
+        if carrier is None:
+            _check_power(k, "elements")
+        elif k > ALGEBRA_CAP:
+            raise SizeExceeded(f"{k} atoms exceed cap {ALGEBRA_CAP}")
+        elif len(carrier) > ALGEBRA_CAP:
+            raise SizeExceeded(f"{len(carrier)} elements exceed cap {ALGEBRA_CAP}")
         self.k = k
         self.one = (1 << k) - 1
         self.zero = 0
@@ -83,8 +103,6 @@ class BooleanAlgebra:
     def elements(self):
         if self.carrier is not None:
             return iter(self.carrier)
-        if self.k > 24:
-            raise SizeExceeded(f"refusing to enumerate 2^{self.k} implicit elements")
         return iter(range(1 << self.k))
 
     def element_mask(self, index: int) -> int:
@@ -111,6 +129,7 @@ class BooleanAlgebra:
     def as_poset(self) -> Poset:
         """The inclusion order on the elements, indexed by ascending mask."""
         if self._poset is None:
+            check_poset_size(self.size)
             elems = list(self.elements())
             n = len(elems)
             up = [0] * n
@@ -138,14 +157,12 @@ class BooleanAlgebra:
         return f"BooleanAlgebra(atoms={self.k}, size={self.size}, kind={kind})"
 
 
-def powerset_algebra(k: int, max_size: int = DEFAULT_ALGEBRA_CAP) -> BooleanAlgebra:
+def powerset_algebra(k: int) -> BooleanAlgebra:
     """The full algebra on ``k`` atoms."""
-    if k < 0 or 1 << k > max_size:
-        raise SizeExceeded(f"2^{k} elements exceed cap {max_size}")
     return BooleanAlgebra(k)
 
 
-def subalgebra_masks(k: int, gens, max_size: int = DEFAULT_ALGEBRA_CAP) -> tuple[int, ...]:
+def subalgebra_masks(k: int, gens) -> tuple[int, ...]:
     """Element masks of the subalgebra of the ``k``-atom powerset generated
     by ``gens``, via the atom partition the generators induce.
 
@@ -159,19 +176,14 @@ def subalgebra_masks(k: int, gens, max_size: int = DEFAULT_ALGEBRA_CAP) -> tuple
         sig = tuple((g >> atom) & 1 for g in gens)
         sig_to_block[sig] = sig_to_block.get(sig, 0) | (1 << atom)
     blocks = list(sig_to_block.values())
-    if 1 << len(blocks) > max_size:
-        raise SizeExceeded(
-            f"generated subalgebra would have 2^{len(blocks)} elements, cap {max_size}"
-        )
+    _check_power(len(blocks), "elements")
     masks = [0]
     for b in blocks:
         masks += [m | b for m in masks]
     return tuple(sorted(masks))
 
 
-def generated_subalgebra(
-    B: BooleanAlgebra, gens, max_size: int = DEFAULT_ALGEBRA_CAP
-) -> BooleanAlgebra:
+def generated_subalgebra(B: BooleanAlgebra, gens) -> BooleanAlgebra:
     """Least subalgebra of ``B`` containing ``gens`` (and 0, 1)."""
     gens = sorted(set(gens))
     for x in gens:
@@ -179,7 +191,7 @@ def generated_subalgebra(
             B.element_index(x)  # membership check
         elif x >> B.k:
             raise ValueError(f"generator {x} does not fit {B.k} atoms")
-    carrier = subalgebra_masks(B.k, gens, max_size)
+    carrier = subalgebra_masks(B.k, gens)
     return BooleanAlgebra(
         B.k,
         carrier,
@@ -193,31 +205,28 @@ def interval_mask(alpha: int, beta: int) -> int:
     return ((1 << beta) - 1) ^ ((1 << alpha) - 1)
 
 
-def interval_algebra(n: int, max_size: int = DEFAULT_ALGEBRA_CAP) -> BooleanAlgebra:
+def interval_algebra(n: int) -> BooleanAlgebra:
     """Algebra of finite unions of half-open intervals of the chain ``0..n-1``.
 
     For finite ``n`` the closure of the intervals is the whole powerset; the
     nonempty generators ``[alpha, beta)`` with ``alpha < beta <= n`` are kept
     in the provenance for experiments.
     """
-    if n < 0 or 1 << n > max_size:
-        raise SizeExceeded(f"2^{n} elements exceed cap {max_size}")
+    _check_power(n, "elements")
     gens = [interval_mask(a, b) for a in range(n) for b in range(a + 1, n + 1)]
-    carrier = subalgebra_masks(n, gens, max_size)
-    algebra = BooleanAlgebra(
+    return BooleanAlgebra(
         n,
-        carrier,
+        subalgebra_masks(n, gens),
         provenance={"kind": "interval", "n": n, "atoms": n, "generators": gens},
         _validate=False,
     )
-    return algebra
 
 
 def tree_nodes(lam: int, kap: int) -> list[tuple[int, ...]]:
     """All sequences over ``0..lam-1`` of length below ``kap``, shortlex order."""
     out = [()]
     level = [()]
-    for _ in range(kap - 1):
+    while level and len(level[0]) < kap - 1:
         level = [s + (i,) for s in level for i in range(lam)]
         out += level
     return out
@@ -243,9 +252,7 @@ def _prefix_family(nodes: list[tuple[int, ...]]) -> list[frozenset[int]]:
     return sorted(family, key=lambda f: (len(f), sorted(f)))
 
 
-def tree_algebra(
-    lam: int, kap: int, max_size: int = DEFAULT_ALGEBRA_CAP
-) -> BooleanAlgebra:
+def tree_algebra(lam: int, kap: int) -> BooleanAlgebra:
     """Subalgebra of the powerset of all 0/1 colourings of the tree of
     sequences over ``0..lam-1`` shorter than ``kap``, generated by the
     vanishing sets of the prefix-union family.
@@ -256,10 +263,11 @@ def tree_algebra(
     """
     if lam < 0 or kap < 1:
         raise ValueError("need lam >= 0 and kap >= 1")
+    # the tree has lam**0 + ... + lam**(kap-1) nodes; levels past the cap's
+    # exponent only grow a count that is refused already
+    _check_power(sum(lam**i for i in range(min(kap, ALGEBRA_CAP.bit_length()))), "points")
     nodes = tree_nodes(lam, kap)
     npoints = 1 << len(nodes)
-    if npoints > max_size:
-        raise SizeExceeded(f"2^{len(nodes)} points exceed cap {max_size}")
     family = _prefix_family(nodes)
     gens = []
     for member in family:
@@ -269,7 +277,7 @@ def tree_algebra(
             if p & imask == 0:
                 z |= 1 << p
         gens.append(z)
-    carrier = subalgebra_masks(npoints, gens, max_size)
+    carrier = subalgebra_masks(npoints, gens)
     return BooleanAlgebra(
         npoints,
         carrier,
@@ -295,7 +303,7 @@ class CoproductAlgebra:
     lies below b}``; images of distinct cofactors meet exactly in ``{0, 1}``.
     """
 
-    def __init__(self, cofactors, max_size: int = DEFAULT_ALGEBRA_CAP):
+    def __init__(self, cofactors):
         cofactors = list(cofactors)
         if not cofactors:
             raise ValueError("need at least one cofactor")
@@ -308,8 +316,6 @@ class CoproductAlgebra:
         katoms = 1
         for m in self.arities:
             katoms *= m
-        if 1 << katoms > max_size:
-            raise SizeExceeded(f"2^{katoms} elements exceed cap {max_size}")
         self.base = BooleanAlgebra(
             katoms,
             provenance={
@@ -356,6 +362,26 @@ class CoproductAlgebra:
         self._embed_cache[i][b] = mask
         return mask
 
+    def projection_tables(self, j: int) -> tuple[list[int], list[int]]:
+        """Per product atom ``t``: the embedded ``j``-coordinate atom, and the
+        embedded complement of that atom (used for the upper and lower
+        cofactor projections)."""
+        cached = self._proj_cache.get(j)
+        if cached is not None:
+            return cached
+        plus = []
+        minus = []
+        Bj = self.cofactors[j]
+        emb = {}
+        for t in range(self.katoms):
+            atom = self.atom_lists[j][self.atom_tuple(t)[j]]
+            if atom not in emb:
+                emb[atom] = (self.embed(j, atom), self.embed(j, Bj.complement(atom)))
+            plus.append(emb[atom][0])
+            minus.append(emb[atom][1])
+        self._proj_cache[j] = (plus, minus)
+        return plus, minus
+
     def embedded_image(self, i: int) -> tuple[int, ...]:
         """All base elements in the image of cofactor ``i``, ascending."""
         if i not in self._image_cache:
@@ -373,34 +399,23 @@ class CoproductAlgebra:
         return f"CoproductAlgebra(cofactor_atoms={self.arities})"
 
 
-def coproduct(cofactors, max_size: int = DEFAULT_ALGEBRA_CAP) -> CoproductAlgebra:
-    return CoproductAlgebra(cofactors, max_size)
+def coproduct(cofactors) -> CoproductAlgebra:
+    return CoproductAlgebra(cofactors)
 
 
-class LiteralNF:
+class LiteralNF(NamedTuple):
     """Canonical disjunctive and conjunctive forms of a coproduct element.
 
     Literals are ``(cofactor index, cofactor element)`` pairs, never 0 or 1
     of their cofactor.  The DNF has one conjunct per product atom below the
     element (the per-coordinate atom literals); the CNF is the De Morgan
     dual of the complement's DNF.  The empty join is 0 and the empty meet 1,
-    so ``0`` has DNF ``[]`` and CNF ``[{}]`` while ``1`` has DNF ``[{}]``
-    and CNF ``[]``.
+    so ``0`` has DNF ``()`` and CNF ``({},)`` while ``1`` has DNF ``({},)``
+    and CNF ``()``.
     """
 
-    def __init__(self, dnf, cnf):
-        self.dnf: tuple[frozenset[tuple[int, int]], ...] = tuple(dnf)
-        self.cnf: tuple[frozenset[tuple[int, int]], ...] = tuple(cnf)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiteralNF)
-            and self.dnf == other.dnf
-            and self.cnf == other.cnf
-        )
-
-    def __repr__(self):
-        return f"LiteralNF(dnf={self.dnf}, cnf={self.cnf})"
+    dnf: tuple[frozenset[tuple[int, int]], ...]
+    cnf: tuple[frozenset[tuple[int, int]], ...]
 
 
 def _atom_conjuncts(C: CoproductAlgebra, x: int):
@@ -436,26 +451,6 @@ def literal_normal_forms(C: CoproductAlgebra, x: int) -> LiteralNF:
     return nf
 
 
-def eval_dnf(C: CoproductAlgebra, conjuncts) -> int:
-    out = 0
-    for conj in conjuncts:
-        term = C.base.one
-        for i, c in conj:
-            term &= C.embed(i, c)
-        out |= term
-    return out
-
-
-def eval_cnf(C: CoproductAlgebra, clauses) -> int:
-    out = C.base.one
-    for clause in clauses:
-        term = 0
-        for i, c in clause:
-            term |= C.embed(i, c)
-        out &= term
-    return out
-
-
 class ExponentialAlgebra:
     """Powerset algebra over the nonzero elements of a base algebra.
 
@@ -466,25 +461,13 @@ class ExponentialAlgebra:
     subadditive: ``[a] ∨ [b] <= [a ∨ b]`` with strictness in general.
     """
 
-    def __init__(
-        self,
-        base: BooleanAlgebra,
-        max_base: int = DEFAULT_EXP_BASE_CAP,
-        max_size: int = DEFAULT_ALGEBRA_CAP,
-    ):
-        if base.size > max_base:
-            raise SizeExceeded(
-                f"exponential restricted to bases of at most {max_base} elements"
-            )
-        if 1 << (base.size - 1) > max_size:
-            raise SizeExceeded(f"2^{base.size - 1} elements exceed cap {max_size}")
+    def __init__(self, base: BooleanAlgebra):
+        self.algebra = BooleanAlgebra(
+            base.size - 1,
+            provenance={"kind": "exponential", "atoms": base.size - 1},
+        )
         self.base = base
         self.points = tuple(x for x in base.elements() if x != 0)
-        self._point_index = {p: t for t, p in enumerate(self.points)}
-        self.algebra = BooleanAlgebra(
-            len(self.points),
-            provenance={"kind": "exponential", "atoms": len(self.points)},
-        )
         self._check_relations()
 
     def bracket(self, a: int) -> int:
@@ -525,12 +508,8 @@ class ExponentialAlgebra:
         return f"ExponentialAlgebra(base_size={self.base.size}, points={len(self.points)})"
 
 
-def exponential(
-    base: BooleanAlgebra,
-    max_base: int = DEFAULT_EXP_BASE_CAP,
-    max_size: int = DEFAULT_ALGEBRA_CAP,
-) -> ExponentialAlgebra:
-    return ExponentialAlgebra(base, max_base, max_size)
+def exponential(base: BooleanAlgebra) -> ExponentialAlgebra:
+    return ExponentialAlgebra(base)
 
 
 def hyperspace_basic_set(E: ExponentialAlgebra, F) -> int:

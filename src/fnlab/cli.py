@@ -17,6 +17,9 @@ from pathlib import Path
 
 from . import serialize as ser
 from .boolalg import (
+    BooleanAlgebra,
+    CoproductAlgebra,
+    ExponentialAlgebra,
     coproduct,
     exponential,
     generated_subalgebra,
@@ -61,6 +64,14 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_pair(path: str):
     return ser.pair_from_obj(ser.load_file(path), Path(path).parent)
+
+
+def _load_algebra(path: str, cls: type):
+    """The algebra in ``path``, which must be a ``cls``."""
+    A = ser.algebra_from_obj(ser.load_file(path))
+    if not isinstance(A, cls):
+        raise ParseError(f"{path} holds a {type(A).__name__}, need a {cls.__name__}")
+    return A
 
 
 def _parse_cap(text: str) -> tuple[int, int]:
@@ -115,13 +126,17 @@ def cmd_frontier(args) -> int:
     return EXIT_OK
 
 
-# the options each construction cannot do without
-_CONSTRUCT_NEEDS = {
-    "powerset": ("atoms",),
-    "interval": ("n",),
-    "tree": ("lam", "kap"),
-    "subalgebra": ("ambient", "gens"),
-    "exponential": ("base",),
+# the options each construction or transport cannot do without
+_NEEDS = {
+    ("construct", "powerset"): ("atoms",),
+    ("construct", "interval"): ("n",),
+    ("construct", "tree"): ("lam", "kap"),
+    ("construct", "subalgebra"): ("ambient", "gens"),
+    ("construct", "exponential"): ("base",),
+    ("transport", "retract"): ("pair", "section", "retraction"),
+    ("transport", "subalgebra"): ("pair", "members"),
+    ("transport", "coproduct"): ("pair", "algebra"),
+    ("transport", "exponential"): ("pair", "algebra"),
 }
 
 
@@ -130,9 +145,6 @@ _SIZE_LEAST = {"n": 0, "atoms": 0, "lam": 0, "kap": 1}
 
 
 def cmd_construct(args) -> int:
-    missing = [o for o in _CONSTRUCT_NEEDS.get(args.kind, ()) if getattr(args, o) is None]
-    if missing:
-        raise ParseError(f"construct {args.kind} needs --" + " and --".join(missing))
     if args.kind == "coproduct" and not args.cofactor and args.atoms_list is None:
         raise ParseError("construct coproduct needs --cofactor or --atoms-list")
     if args.kind == "powerset":
@@ -142,16 +154,16 @@ def cmd_construct(args) -> int:
     elif args.kind == "tree":
         A = tree_algebra(args.lam, args.kap)
     elif args.kind == "subalgebra":
-        ambient = ser.algebra_from_obj(ser.load_file(args.ambient))
+        ambient = _load_algebra(args.ambient, BooleanAlgebra)
         A = generated_subalgebra(ambient, _parse_ints(args.gens))
     elif args.kind == "coproduct":
         if args.cofactor:
-            parts = [ser.algebra_from_obj(ser.load_file(p)) for p in args.cofactor]
+            parts = [_load_algebra(p, BooleanAlgebra) for p in args.cofactor]
         else:
             parts = [powerset_algebra(k) for k in _parse_ints(args.atoms_list)]
         A = coproduct(parts)
     elif args.kind == "exponential":
-        A = exponential(ser.algebra_from_obj(ser.load_file(args.base)))
+        A = exponential(_load_algebra(args.base, BooleanAlgebra))
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown construction {args.kind}")
     _emit(ser.dumps(ser.algebra_to_obj(A)), args.output)
@@ -170,11 +182,11 @@ def cmd_transport(args) -> int:
             view = SubsetView(pair.poset, frozenset(_parse_ints(args.members)))
             out, _ = transport_subalgebra(pair, view)
         elif args.kind == "coproduct":
-            C = ser.algebra_from_obj(ser.load_file(args.algebra))
+            C = _load_algebra(args.algebra, CoproductAlgebra)
             pairs = [_load_pair(p) for p in args.pair]
             out = transport_coproduct(C, pairs)
         else:
-            E = ser.algebra_from_obj(ser.load_file(args.algebra))
+            E = _load_algebra(args.algebra, ExponentialAlgebra)
             out = transport_exponential(E, _load_pair(args.pair[0]))
     except TransportDefect as e:
         print(ser.dumps(ser.verdict_to_obj(e.verdict)), file=sys.stderr, end="")
@@ -305,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "transport" and not args.pair:
-            raise ParseError("transport needs at least one --pair")
+        kind = getattr(args, "kind", None)
+        missing = [o for o in _NEEDS.get((args.cmd, kind), ()) if getattr(args, o) is None]
+        if missing:
+            raise ParseError(f"{args.cmd} {kind} needs --" + " and --".join(missing))
         for name, least in _SIZE_LEAST.items():
             value = getattr(args, name, None)
             if value is not None and value < least:

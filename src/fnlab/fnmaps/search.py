@@ -102,10 +102,9 @@ def search_pair(
 
     nodes = 0
 
-    def extend(dom: list[int], free: list[int]) -> list[int] | None:
+    def children(dom: list[int], free: list[int]):
+        """Arc-consistent children: each value of the slot with fewest left."""
         nonlocal nodes
-        if not free:
-            return dom
         u = min(free, key=lambda s: dom[s].bit_count())
         rest = [s for s in free if s != u]
         for i in bits_of(dom[u]):
@@ -114,18 +113,25 @@ def search_pair(
                 raise BudgetExceeded(nodes, node_budget)
             child = dom.copy()
             child[u] = 1 << i
-            if revise(child, [u]) and (found := extend(child, rest)) is not None:
-                return found
-        return None
+            if revise(child, [u]):
+                yield child, rest
 
     dom = [(1 << len(c)) - 1 for c in cands]
     if not revise(dom, list(range(2 * n))):
         return None
-    found = extend(dom, list(range(2 * n)))
-    if found is None:
-        return None
-    images = [c[d.bit_length() - 1] for c, d in zip(cands, found)]
-    return FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
+    # depth first over an explicit stack of child generators, one per
+    # assigned slot, so the depth is not bounded by the recursion limit
+    stack = [children(dom, list(range(2 * n)))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif step[1]:
+            stack.append(children(*step))
+        else:
+            images = [c[d.bit_length() - 1] for c, d in zip(cands, step[0])]
+            return FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
+    return None
 
 
 def feasible(

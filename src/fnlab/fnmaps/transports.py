@@ -97,27 +97,6 @@ def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int
     return _checked(FnPair(induced, tuple(F), tuple(G))), elems
 
 
-def _projection_tables(C: CoproductAlgebra, j: int) -> tuple[list[int], list[int]]:
-    """Per product atom ``t``: the embedded ``j``-coordinate atom, and the
-    embedded complement of that atom (used for the upper and lower
-    cofactor projections)."""
-    cached = C._proj_cache.get(j)
-    if cached is not None:
-        return cached
-    plus = []
-    minus = []
-    Bj = C.cofactors[j]
-    emb = {}
-    for t in range(C.katoms):
-        atom = C.atom_lists[j][C.atom_tuple(t)[j]]
-        if atom not in emb:
-            emb[atom] = (C.embed(j, atom), C.embed(j, Bj.complement(atom)))
-        plus.append(emb[atom][0])
-        minus.append(emb[atom][1])
-    C._proj_cache[j] = (plus, minus)
-    return plus, minus
-
-
 def cofactor_projections(C: CoproductAlgebra, j: int, x: int) -> tuple[int, int]:
     """Least element of the ``j``-th cofactor image above ``x`` and greatest
     below ``x``.
@@ -132,7 +111,7 @@ def cofactor_projections(C: CoproductAlgebra, j: int, x: int) -> tuple[int, int]
         raise IndexOutOfRange(f"no cofactor {j}")
     if x >> C.katoms:
         raise IndexOutOfRange(f"mask {x} is not a base element")
-    plus_t, minus_t = _projection_tables(C, j)
+    plus_t, minus_t = C.projection_tables(j)
     xplus = 0
     for t in bits_of(x):
         xplus |= plus_t[t]

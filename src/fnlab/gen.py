@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .fnmaps.core import FnPair, trivial_pair, wellorder_map
-from .poset import MonotoneMap, Poset, SubsetView, poset_from_covers
+from .poset import MonotoneMap, Poset, SubsetView, check_poset_size, poset_from_covers
 
 DEFAULT_SEED = 0
 
@@ -18,6 +18,7 @@ DEFAULT_SEED = 0
 def random_poset(n: int, rng: random.Random, density: float = 0.35) -> Poset:
     """Random labeled poset: random edges compatible with a hidden random
     linear extension, then transitive closure."""
+    check_poset_size(n)  # before the n^2 edge draws
     perm = list(range(n))
     rng.shuffle(perm)
     edges = []

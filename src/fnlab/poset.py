@@ -25,6 +25,15 @@ from .errors import (
 MAX_ELEMENTS = 4096
 
 
+def check_poset_size(n: int) -> None:
+    """Refuse a poset of ``n`` elements: negative, or above ``MAX_ELEMENTS``
+    (every materialized order obeys this cap)."""
+    if n < 0:
+        raise ValueError(f"poset size {n} is negative")
+    if n > MAX_ELEMENTS:
+        raise SizeExceeded(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -97,9 +106,7 @@ class Poset:
 
 
 def validate_poset(
-    matrix: Sequence[Sequence[object]],
-    labels: Sequence[str] | None = None,
-    max_size: int = MAX_ELEMENTS,
+    matrix: Sequence[Sequence[object]], labels: Sequence[str] | None = None
 ) -> Poset:
     """Validate a square boolean relation matrix and build a :class:`Poset`.
 
@@ -107,8 +114,7 @@ def validate_poset(
     the first violation is raised with its witness elements.
     """
     n = len(matrix)
-    if n > max_size:
-        raise SizeExceeded(f"poset size {n} exceeds cap {max_size}")
+    check_poset_size(n)
     rows = []
     for row in matrix:
         if len(row) != n:
@@ -118,6 +124,7 @@ def validate_poset(
 
 
 def _poset_from_up_rows(n: int, rows: list[int], labels=None) -> Poset:
+    check_poset_size(n)
     for x in range(n):
         if not rows[x] >> x & 1:
             raise NotReflexive(x)
@@ -143,18 +150,14 @@ def _poset_from_up_rows(n: int, rows: list[int], labels=None) -> Poset:
 
 
 def poset_from_covers(
-    n: int,
-    covers: Iterable[tuple[int, int]],
-    labels: Sequence[str] | None = None,
-    max_size: int = MAX_ELEMENTS,
+    n: int, covers: Iterable[tuple[int, int]], labels: Sequence[str] | None = None
 ) -> Poset:
     """Build a poset from Hasse/cover edges ``lo < hi``.
 
     The reflexive-transitive closure is computed first and then validated,
     so a cyclic edge list is reported as an antisymmetry failure.
     """
-    if n > max_size:
-        raise SizeExceeded(f"poset size {n} exceeds cap {max_size}")
+    check_poset_size(n)
     rows = [1 << x for x in range(n)]
     for lo, hi in covers:
         if not (0 <= lo < n and 0 <= hi < n):

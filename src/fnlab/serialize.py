@@ -198,24 +198,37 @@ def algebra_from_obj(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("algebra object needs a 'kind' field")
     kind = obj["kind"]
-    if kind == "powerset":
-        return powerset_algebra(int(obj["atoms"]))
-    if kind == "interval":
-        return interval_algebra(int(obj["n"]))
-    if kind == "tree":
-        return tree_algebra(int(obj["lam"]), int(obj["kap"]))
-    if kind == "subalgebra":
-        return BooleanAlgebra(
-            int(obj["atoms"]),
-            carrier=[int(x) for x in obj["carrier"]],
-            provenance={
-                "kind": "subalgebra",
-                "atoms": int(obj["atoms"]),
-                "generators": [int(x) for x in obj.get("generators", [])],
-            },
-        )
-    if kind == "coproduct":
-        return coproduct([algebra_from_obj(c) for c in obj["cofactors"]])
-    if kind == "exponential":
-        return exponential(algebra_from_obj(obj["base"]))
+    try:
+        if kind == "powerset":
+            return powerset_algebra(int(obj["atoms"]))
+        if kind == "interval":
+            return interval_algebra(int(obj["n"]))
+        if kind == "tree":
+            return tree_algebra(int(obj["lam"]), int(obj["kap"]))
+        if kind == "subalgebra":
+            return BooleanAlgebra(
+                int(obj["atoms"]),
+                carrier=[int(x) for x in obj["carrier"]],
+                provenance={
+                    "kind": "subalgebra",
+                    "atoms": int(obj["atoms"]),
+                    "generators": [int(x) for x in obj.get("generators", [])],
+                },
+            )
+        if kind == "coproduct":
+            return coproduct([_plain_algebra_from_obj(c) for c in obj["cofactors"]])
+        if kind == "exponential":
+            return exponential(_plain_algebra_from_obj(obj["base"]))
+    except KeyError as e:
+        raise ParseError(f"{kind} algebra needs a {e} field") from None
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad {kind} algebra: {e}") from None
     raise ParseError(f"unknown algebra kind {kind!r}")
+
+
+def _plain_algebra_from_obj(obj) -> BooleanAlgebra:
+    """A coproduct cofactor or an exponential base."""
+    A = algebra_from_obj(obj)
+    if not isinstance(A, BooleanAlgebra):
+        raise ParseError("cofactors and exponential bases must be plain algebras")
+    return A

@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import product
 
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fnlab import boolalg, poset
 from fnlab.boolalg import (
+    ALGEBRA_CAP,
     BooleanAlgebra,
+    CoproductAlgebra,
     coproduct,
-    eval_cnf,
-    eval_dnf,
     exponential,
     generated_subalgebra,
     hyperspace_basic_set,
@@ -23,6 +25,26 @@ from fnlab.boolalg import (
 from fnlab.errors import DegenerateCofactor, SizeExceeded, ZeroMember
 from fnlab.oracle import fixpoint_subalgebra
 from fnlab.poset import diamond
+
+
+def eval_dnf(C: CoproductAlgebra, conjuncts) -> int:
+    out = 0
+    for conj in conjuncts:
+        term = C.base.one
+        for i, c in conj:
+            term &= C.embed(i, c)
+        out |= term
+    return out
+
+
+def eval_cnf(C: CoproductAlgebra, clauses) -> int:
+    out = C.base.one
+    for clause in clauses:
+        term = 0
+        for i, c in clause:
+            term |= C.embed(i, c)
+        out &= term
+    return out
 
 
 class TestPowerset:
@@ -271,7 +293,7 @@ class TestExponential:
 
     def test_base_cap(self):
         with pytest.raises(SizeExceeded):
-            exponential(powerset_algebra(5))  # 32 > 16 default base cap
+            exponential(powerset_algebra(5))  # 2^31 elements > ALGEBRA_CAP
 
     def test_carrier_base(self):
         A = generated_subalgebra(powerset_algebra(3), [0b011])
@@ -310,3 +332,49 @@ class TestAtoms:
             assert union & x == 0
             union |= x
         assert union == A.one
+
+
+class TestSizeCaps:
+    def test_order_obeys_poset_cap(self):
+        # 8192 elements > MAX_ELEMENTS: refused before the all-pairs loop
+        with pytest.raises(SizeExceeded):
+            powerset_algebra(13).as_poset()
+
+    def test_element_cap_in_constructor(self):
+        with pytest.raises(SizeExceeded):
+            BooleanAlgebra(21)
+
+    def test_atom_cap_in_constructor(self):
+        with pytest.raises(SizeExceeded):
+            BooleanAlgebra(ALGEBRA_CAP + 1, carrier=[0, 1])
+
+    def test_negative_atoms_rejected(self):
+        with pytest.raises(ValueError):
+            BooleanAlgebra(-1)
+
+    def test_exponential_base_bound_follows_from_algebra_cap(self):
+        assert exponential(powerset_algebra(4)).algebra.size == 2**15
+        with pytest.raises(SizeExceeded):
+            exponential(powerset_algebra(5))
+
+
+def test_no_cap_parameters():
+    """Caps are module constants checked where data is built, not per-call
+    knobs."""
+    found = []
+    for module in (boolalg, poset):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{m}", f)
+                    for m, f in vars(obj).items()
+                    if inspect.isfunction(f) and not m.startswith("_")
+                ]
+            for qualname, fn in members:
+                if callable(fn):
+                    params = inspect.signature(fn).parameters
+                    found += [(qualname, p) for p in ("max_size", "max_base") if p in params]
+    assert found == []

@@ -175,6 +175,20 @@ class TestConstruct:
     def test_size_cap_exit_three(self, capsys):
         assert main(["construct", "powerset", "--atoms", "30"]) == 3
 
+    @pytest.mark.parametrize(
+        "args, base",
+        [
+            # 2^40 - 1 tree nodes: refused from the count, before listing them
+            (["tree", "--lam", "2", "--kap", "40"], None),
+            (["exponential", "--base"], {"kind": "subalgebra", "atoms": 10**11, "carrier": [0]}),
+        ],
+    )
+    def test_over_algebra_cap_exit_three(self, tmp_path, capsys, args, base):
+        if base is not None:
+            args = [*args, write(tmp_path / "base.json", ser.dumps(base))]
+        assert main(["construct", *args]) == 3
+        assert assert_one_error_line(capsys) == ""
+
     def test_missing_atoms_exit_two(self, capsys):
         assert main(["construct", "powerset"]) == 2
         assert_one_error_line(capsys)
@@ -191,6 +205,47 @@ class TestConstruct:
     def test_negative_size_exit_two(self, args, capsys):
         assert main(["construct", *args]) == 2
         assert assert_one_error_line(capsys) == ""
+
+
+_COPRODUCT = ser.algebra_to_obj(coproduct([powerset_algebra(1)] * 2))
+_EXPONENTIAL = ser.algebra_to_obj(exponential(powerset_algebra(1)))
+
+# algebra files that are malformed, or of a kind the option does not take
+BAD_ALGEBRA_FILES = {
+    "no_atoms": {"kind": "powerset"},
+    "text_atoms": {"kind": "powerset", "atoms": "x"},
+    "negative_lam": {"kind": "tree", "lam": -1, "kap": 2},
+    "carrier_without_one": {"kind": "subalgebra", "atoms": 2, "carrier": [0, 1, 2]},
+    "coproduct": _COPRODUCT,
+    "exponential": _EXPONENTIAL,
+    "powerset": ser.algebra_to_obj(powerset_algebra(2)),
+    "coproduct_of_coproduct": {"kind": "coproduct", "cofactors": [_COPRODUCT, _COPRODUCT]},
+    "exponential_of_coproduct": {"kind": "exponential", "base": _COPRODUCT},
+}
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["construct", "exponential", "--base"], "no_atoms"),
+        (["construct", "exponential", "--base"], "text_atoms"),
+        (["construct", "exponential", "--base"], "negative_lam"),
+        (["construct", "exponential", "--base"], "carrier_without_one"),
+        (["construct", "exponential", "--base"], "coproduct"),
+        (["construct", "subalgebra", "--gens", "1", "--ambient"], "coproduct"),
+        (["construct", "coproduct", "--cofactor"], "exponential"),
+        (["construct", "coproduct", "--cofactor"], "coproduct"),
+        (["transport", "coproduct", "--algebra"], "powerset"),
+        (["transport", "coproduct", "--algebra"], "coproduct_of_coproduct"),
+        (["transport", "exponential", "--algebra"], "powerset"),
+        (["transport", "exponential", "--algebra"], "exponential_of_coproduct"),
+    ],
+)
+def test_bad_algebra_file_exit_two(tmp_path, valid_pair_file, capsys, args, name):
+    alg = write(tmp_path / "alg.json", ser.dumps(BAD_ALGEBRA_FILES[name]))
+    pair = ["--pair", valid_pair_file] if args[0] == "transport" else []
+    assert main([*args, alg, *pair]) == 2
+    assert assert_one_error_line(capsys) == ""
 
 
 class TestTransport:
@@ -247,6 +302,22 @@ class TestTransport:
     def test_missing_pair_exit_two(self):
         assert main(["transport", "retract"]) == 2
 
+    @pytest.mark.parametrize("kind", ["retract", "subalgebra", "coproduct", "exponential"])
+    def test_missing_option_exit_two(self, valid_pair_file, capsys, kind):
+        assert main(["transport", kind, "--pair", valid_pair_file]) == 2
+        assert assert_one_error_line(capsys) == ""
+
+    def test_order_over_poset_cap_exit_three(self, tmp_path, capsys):
+        # 2^15 elements > MAX_ELEMENTS: refused before the all-pairs order
+        assert main(["construct", "coproduct", "--atoms-list", "3,5"]) == 0
+        alg_f = write(tmp_path / "c35.json", capsys.readouterr().out)
+        pairs = []
+        for k in (3, 5):
+            pair = trivial_pair(powerset_algebra(k).as_poset())
+            pairs += ["--pair", write(tmp_path / f"p{k}.json", ser.dumps(ser.pair_to_obj(pair)))]
+        assert main(["transport", "coproduct", "--algebra", alg_f, *pairs]) == 3
+        assert assert_one_error_line(capsys) == ""
+
 
 class TestOracle:
     def test_count(self, capsys):
@@ -284,6 +355,11 @@ class TestGen:
 
     def test_negative_size_exit_two(self, capsys):
         assert main(["gen", "poset", "--n", "-1"]) == 2
+        assert assert_one_error_line(capsys) == ""
+
+    def test_over_poset_cap_exit_three(self, capsys):
+        # refused before drawing 5 * 10^13 candidate edges
+        assert main(["gen", "poset", "--n", "10000000"]) == 3
         assert assert_one_error_line(capsys) == ""
 
     def test_global_seed_position(self, capsys):

@@ -49,6 +49,10 @@ class TestEnumeration:
         with pytest.raises(SizeExceeded):
             next(enumerate_posets(6))
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            next(enumerate_posets(-1))
+
 
 class TestBruteFeasible:
     def test_chain2_one_one(self):

@@ -15,6 +15,7 @@ from fnlab.errors import (
 )
 from fnlab.gen import random_poset
 from fnlab.poset import (
+    MAX_ELEMENTS,
     MonotoneMap,
     Poset,
     SubsetView,
@@ -25,6 +26,7 @@ from fnlab.poset import (
     coinitiality_above,
     diamond,
     identity_map,
+    _poset_from_up_rows,
     poset_from_covers,
     subposet_degree,
     validate_poset,
@@ -78,8 +80,15 @@ class TestValidate:
             validate_poset([[1, 0]])
 
     def test_size_cap(self):
+        row = [0] * (MAX_ELEMENTS + 1)
         with pytest.raises(SizeExceeded):
-            validate_poset([[1, 0], [0, 1]], max_size=1)
+            validate_poset([row] * (MAX_ELEMENTS + 1))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            _poset_from_up_rows(-1, [])
+        with pytest.raises(ValueError):
+            poset_from_covers(-1, [])
 
     @given(st.integers(0, 10**6), st.integers(1, 5))
     def test_agrees_with_naive_reference(self, seed, n):

@@ -75,6 +75,12 @@ class TestSearchPair:
         got = search_pair(chain(0), (1, 1))
         assert got == FnPair(chain(0), (), ())
 
+    def test_depth_beyond_recursion_limit(self):
+        # 1200 slots: deeper than the interpreter's default recursion limit
+        P = antichain(600)
+        singletons = tuple(1 << x for x in range(600))
+        assert search_pair(P, (1, 1)) == FnPair(P, singletons, singletons)
+
 
 class TestUniversalPairs:
     @given(st.integers(0, 10**6), st.integers(1, 6))
