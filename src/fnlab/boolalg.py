@@ -11,15 +11,22 @@ tree algebra, coproduct (free product), and the exponential (the clopen
 algebra of the hyperspace of the Stone dual, here the powerset over the
 nonzero elements since every filter of a finite algebra is principal).
 
+Full powersets build their element order, and generated subalgebras their
+element masks, word-parallel from per-atom bit patterns (``atom_patterns``)
+and atom blocks (``atom_blocks``).
+
 Size caps: every algebra goes through the :class:`BooleanAlgebra`
-constructor, which refuses more than ``ALGEBRA_CAP`` elements or atoms; a
-builder checks that cap earlier only where it would do exponential work
-first.  The element order (``as_poset``) obeys the poset cap ``MAX_ELEMENTS``.
+constructor, which refuses more than ``ALGEBRA_CAP`` elements or atoms, and
+a listed carrier past the work bound: more bits (elements × atoms) than the
+largest powerset under that cap would hold if listed.  A builder checks
+these earlier only where it would do exponential work first.  The element
+order (``as_poset``) obeys the poset cap ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -41,6 +48,50 @@ def _check_power(exponent: int, what: str) -> None:
         raise SizeExceeded(f"2^{exponent} {what} exceed cap {ALGEBRA_CAP}")
 
 
+def _check_carrier(size: int, k: int) -> None:
+    """The work bound: ``size`` masks of ``k`` bits may hold no more bits
+    than the largest powerset under ``ALGEBRA_CAP`` would if listed."""
+    bound = ALGEBRA_CAP * (ALGEBRA_CAP.bit_length() - 1)
+    if size * k > bound:
+        raise SizeExceeded(f"{size} elements of {k} atoms exceed {bound} carrier bits")
+
+
+@lru_cache(maxsize=None)
+def atom_patterns(k: int) -> tuple[int, ...]:
+    """Per atom ``i``, the ``2**k``-bit mask of the powerset elements that
+    contain ``i`` (bit ``x`` for element mask ``x``)."""
+    pats = []
+    for i in range(k):
+        pat = ((1 << (1 << i)) - 1) << (1 << i)  # one period: 2**i zeros, 2**i ones
+        for j in range(i + 1, k):
+            pat |= pat << (1 << j)
+        pats.append(pat)
+    return tuple(pats)
+
+
+def atom_blocks(k: int, gens, most: int | None = None) -> list[int]:
+    """The blocks of atoms with equal membership across ``gens``: the
+    partition of the ``k`` atoms refined by each generator ``g`` into
+    ``b & g`` and ``b & ~g``.  Refining stops once a split brings the count
+    to ``most`` or more."""
+    blocks = [(1 << k) - 1] if k else []
+    for g in gens:
+        parts = [p for b in blocks for p in (b & g, b & ~g) if p]
+        if len(parts) > len(blocks):
+            blocks = parts
+            if most is not None and len(blocks) >= most:
+                break
+    return blocks
+
+
+def _unions(blocks) -> tuple[int, ...]:
+    """All unions of ``blocks``, ascending."""
+    masks = [0]
+    for b in blocks:
+        masks += [m | b for m in masks]
+    return tuple(sorted(masks))
+
+
 class BooleanAlgebra:
     """A subalgebra of the powerset of ``k`` atoms.
 
@@ -59,6 +110,8 @@ class BooleanAlgebra:
             raise SizeExceeded(f"{k} atoms exceed cap {ALGEBRA_CAP}")
         elif len(carrier) > ALGEBRA_CAP:
             raise SizeExceeded(f"{len(carrier)} elements exceed cap {ALGEBRA_CAP}")
+        else:
+            _check_carrier(len(carrier), k)
         self.k = k
         self.one = (1 << k) - 1
         self.zero = 0
@@ -69,19 +122,13 @@ class BooleanAlgebra:
             self._validate_carrier()
 
     def _validate_carrier(self):
-        elems = set(self.carrier)
-        if len(elems) != len(self.carrier):
-            raise ValueError("carrier has duplicate elements")
-        if self.zero not in elems or self.one not in elems:
-            raise ValueError("carrier must contain 0 and 1")
-        for x in elems:
-            if x >> self.k:
-                raise ValueError(f"carrier mask {x} does not fit {self.k} atoms")
-            if self.one ^ x not in elems:
-                raise ValueError(f"carrier not closed under complement at {x}")
-        for x, y in combinations(elems, 2):
-            if x & y not in elems:
-                raise ValueError(f"carrier not closed under meet at {x}, {y}")
+        """A subalgebra of ``2**b`` elements has ``b`` atom blocks, and a
+        coarser partition than its own has fewer: refine until there are
+        ``b``, then the carrier must be exactly their unions."""
+        b = len(self.carrier).bit_length() - 1
+        blocks = atom_blocks(self.k, self.carrier, b)
+        if len(blocks) != b or _unions(blocks) != self.carrier:
+            raise ValueError(f"carrier is not a subalgebra of the {self.k}-atom powerset")
 
     # Lattice operations on element masks.
     def meet(self, x: int, y: int) -> int:
@@ -123,22 +170,30 @@ class BooleanAlgebra:
         the ambient atom set."""
         if self.carrier is None:
             return tuple(1 << i for i in range(self.k))
-        nonzero = [x for x in self.carrier if x]
-        return tuple(x for x in nonzero if not any(y & ~x == 0 and y != x for y in nonzero))
+        return tuple(sorted(atom_blocks(self.k, self.carrier, self.size.bit_length() - 1)))
 
     def as_poset(self) -> Poset:
-        """The inclusion order on the elements, indexed by ascending mask."""
+        """The inclusion order on the elements, indexed by ascending mask: a
+        full powerset extends row ``x ^ low`` by the least atom ``low`` of
+        ``x``, a carrier algebra compares every pair."""
         if self._poset is None:
             check_poset_size(self.size)
-            elems = list(self.elements())
-            n = len(elems)
+            n = self.size
             up = [0] * n
             down = [0] * n
-            for i, x in enumerate(elems):
-                for j, y in enumerate(elems):
-                    if x & ~y == 0:
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
+            if self.carrier is None:
+                pat = atom_patterns(self.k)
+                up[0], down[0] = (1 << n) - 1, 1
+                for x in range(1, n):
+                    low = x & -x
+                    up[x] = up[x ^ low] & pat[low.bit_length() - 1]
+                    down[x] = down[x ^ low] | down[x ^ low] << low
+            else:
+                for i, x in enumerate(self.carrier):
+                    for j, y in enumerate(self.carrier):
+                        if x & ~y == 0:
+                            up[i] |= 1 << j
+                            down[j] |= 1 << i
             self._poset = Poset(n, tuple(up), tuple(down))
         return self._poset
 
@@ -164,23 +219,29 @@ def powerset_algebra(k: int) -> BooleanAlgebra:
 
 def subalgebra_masks(k: int, gens) -> tuple[int, ...]:
     """Element masks of the subalgebra of the ``k``-atom powerset generated
-    by ``gens``, via the atom partition the generators induce.
-
-    Atoms with the same membership pattern across the generators form one
-    block; the closure of ``gens ∪ {0, 1}`` under meet, join and complement
-    is exactly the set of unions of blocks.
-    """
-    gens = list(gens)
-    sig_to_block: dict[tuple, int] = {}
-    for atom in range(k):
-        sig = tuple((g >> atom) & 1 for g in gens)
-        sig_to_block[sig] = sig_to_block.get(sig, 0) | (1 << atom)
-    blocks = list(sig_to_block.values())
+    by ``gens``: the unions of the atom blocks the generators induce.  The
+    carrier's size and its work bound are checked before it is listed."""
+    blocks = atom_blocks(k, gens)
     _check_power(len(blocks), "elements")
-    masks = [0]
-    for b in blocks:
-        masks += [m | b for m in masks]
-    return tuple(sorted(masks))
+    _check_carrier(1 << len(blocks), k)
+    return _unions(blocks)
+
+
+@lru_cache(maxsize=1024)
+def subalgebra_index_mask(k: int, gens: frozenset[int]) -> int:
+    """``subalgebra_masks(k, gens)`` as one ``2**k``-bit mask over the
+    powerset (bit ``m`` for element mask ``m``), computed word-parallel: the
+    AND over the blocks of (contains the block OR misses it)."""
+    pat = atom_patterns(k)
+    full = (1 << (1 << k)) - 1
+    out = full
+    for b in atom_blocks(k, gens):
+        holds = misses = full
+        for i in bits_of(b):
+            holds &= pat[i]
+            misses &= ~pat[i]
+        out &= holds | misses
+    return out
 
 
 def generated_subalgebra(B: BooleanAlgebra, gens) -> BooleanAlgebra:
@@ -269,13 +330,12 @@ def tree_algebra(lam: int, kap: int) -> BooleanAlgebra:
     nodes = tree_nodes(lam, kap)
     npoints = 1 << len(nodes)
     family = _prefix_family(nodes)
+    pat = atom_patterns(len(nodes))
     gens = []
     for member in family:
-        imask = sum(1 << i for i in member)
-        z = 0
-        for p in range(npoints):
-            if p & imask == 0:
-                z |= 1 << p
+        z = (1 << npoints) - 1
+        for i in member:
+            z &= ~pat[i]
         gens.append(z)
     carrier = subalgebra_masks(npoints, gens)
     return BooleanAlgebra(

@@ -85,7 +85,10 @@ def _parse_cap(text: str) -> tuple[int, int]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+    try:
+        return [int(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:
+        raise ParseError("expected comma-separated integers") from None
 
 
 def _budget(args) -> int:

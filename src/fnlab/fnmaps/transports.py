@@ -12,6 +12,7 @@ from ..boolalg import (
     CoproductAlgebra,
     ExponentialAlgebra,
     literal_normal_forms,
+    subalgebra_index_mask,
     subalgebra_masks,
 )
 from ..errors import (
@@ -138,35 +139,28 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     for idx, pr in enumerate(pairs):
         _require_valid(pr, f"cofactor {idx} input")
     base_poset = C.base.as_poset()
-    n = base_poset.n
-    closure_cache: dict[frozenset[int], tuple[int, ...]] = {}
-
-    def closed_mask(gens: frozenset[int]) -> int:
-        elems = closure_cache.get(gens)
-        if elems is None:
-            elems = subalgebra_masks(C.katoms, sorted(gens))
-            closure_cache[gens] = elems
-        out = 0
-        for m in elems:
-            out |= 1 << m  # base poset index == element mask
-        return out
-
+    # per literal (i, c): the embedded images of f(c) and of g(c)
+    images: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
     F = []
     G = []
-    for x in range(n):
+    for x in range(base_poset.n):
         nf = literal_normal_forms(C, x)
-        lits = set().union(*nf.dnf, *nf.cnf) if (nf.dnf or nf.cnf) else set()
         f0: set[int] = set()
         g0: set[int] = set()
-        for i, c in lits:
-            B = C.cofactors[i]
-            ci = B.element_index(c)
-            for d in bits_of(pairs[i].f[ci]):
-                f0.add(C.embed(i, B.element_mask(d)))
-            for d in bits_of(pairs[i].g[ci]):
-                g0.add(C.embed(i, B.element_mask(d)))
-        F.append(closed_mask(frozenset(f0)))
-        G.append(closed_mask(frozenset(g0)))
+        for i, c in set().union(*nf.dnf, *nf.cnf):
+            if (i, c) not in images:
+                B = C.cofactors[i]
+                ci = B.element_index(c)
+                images[i, c] = tuple(
+                    {C.embed(i, B.element_mask(d)) for d in bits_of(m[ci])}
+                    for m in (pairs[i].f, pairs[i].g)
+                )
+            fi, gi = images[i, c]
+            f0 |= fi
+            g0 |= gi
+        # base poset index == element mask
+        F.append(subalgebra_index_mask(C.katoms, frozenset(f0)))
+        G.append(subalgebra_index_mask(C.katoms, frozenset(g0)))
     return _checked(FnPair(base_poset, tuple(F), tuple(G)))
 
 
@@ -210,17 +204,6 @@ def transport_exponential(E: ExponentialAlgebra, pair: FnPair) -> FnPair:
     n = exp_poset.n
     full = E.algebra.one
     bracket_cache = {h: E.bracket(h) for h in E.base.elements()}
-    closure_cache: dict[frozenset[int], int] = {}
-
-    def closed_mask(gens: frozenset[int]) -> int:
-        out = closure_cache.get(gens)
-        if out is None:
-            out = 0
-            for m in subalgebra_masks(len(E.points), sorted(gens)):
-                out |= 1 << m  # exponential poset index == element mask
-            closure_cache[gens] = out
-        return out
-
     F = []
     G = []
     for x in range(n):
@@ -237,6 +220,7 @@ def transport_exponential(E: ExponentialAlgebra, pair: FnPair) -> FnPair:
                 fgen.add(bracket_cache[E.base.element_mask(d)])
             for d in bits_of(pair.g[hi]):
                 ggen.add(bracket_cache[E.base.element_mask(d)])
-        F.append(closed_mask(frozenset(fgen)))
-        G.append(closed_mask(frozenset(ggen)))
+        # exponential poset index == element mask
+        F.append(subalgebra_index_mask(len(E.points), frozenset(fgen)))
+        G.append(subalgebra_index_mask(len(E.points), frozenset(ggen)))
     return _checked(FnPair(exp_poset, tuple(F), tuple(G)))

@@ -8,8 +8,9 @@ be fast beyond desk scale.
 Feasibility does not depend on labels, so the feasibility tables are cached
 per isomorphism class: each is keyed on a canonical relabeling of the poset
 (:func:`_canonical_rows`), and the 4231 labeled 5-element posets need only
-63 classes' tables.  numpy is imported by the table builder alone, so that
-importing this module (and the CLI) stays cheap.
+63 classes' tables.  numpy (the ``oracle`` extra) is imported by the table
+builder alone, so that importing this module (and the CLI) stays cheap and
+works without it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 
 from .boolalg import CoproductAlgebra
-from .errors import SizeExceeded
+from .errors import FnLabError, SizeExceeded
 from .fnmaps.core import CapacityPair
 from .poset import Poset, SubsetView, _poset_from_up_rows, bits_of
 
@@ -146,7 +147,10 @@ def _needed_g_table(rows: tuple[int, ...], a: int, cell_budget: int) -> int:
     broadcasting the elementwise maximum over the joint ``f`` space and
     taking the minimum is therefore an exhaustive sweep of all pairs.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise FnLabError("the oracle tables need numpy: install fnlab[oracle]") from None
 
     n = len(rows)
     P = _poset_from_up_rows(n, list(rows))

@@ -4,15 +4,21 @@ Posets travel as cover (Hasse) edge lists with the closure recomputed on
 load; algebra elements travel as integer atom masks (bit ``i`` = atom ``i``,
 bit 0 least significant) under an atom-count header.  Serialization is
 canonical (sorted keys, two-space indent, trailing newline) so equal values
-produce identical bytes.
+produce identical bytes.  Integers may be as wide as a mask of
+``ALGEBRA_CAP`` atoms, past the interpreter's default conversion limit;
+wider ones are a parse error.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .boolalg import (
+    ALGEBRA_CAP,
     BooleanAlgebra,
     CoproductAlgebra,
     ExponentialAlgebra,
@@ -28,15 +34,32 @@ from .fnmaps.search import Frontier
 from .poset import MonotoneMap, Poset, bits_of, mask_of, poset_from_covers
 
 
+@contextmanager
+def _mask_digits():
+    """Convert integers as wide as a mask of ``ALGEBRA_CAP`` atoms, and no
+    wider (interpreters before the conversion limit take any width)."""
+    limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    limit(math.ceil(ALGEBRA_CAP * math.log10(2)))
+    try:
+        yield
+    finally:
+        limit(old)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    with _mask_digits():
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str):
     try:
-        return json.loads(text)
+        with _mask_digits():
+            return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON: {e.msg}", e.lineno, e.colno) from e
+    except ValueError:  # from the integer conversion
+        raise ParseError(f"an integer is wider than a mask of {ALGEBRA_CAP} atoms") from None
 
 
 def load_file(path):

@@ -11,6 +11,7 @@ from fnlab.boolalg import (
     ALGEBRA_CAP,
     BooleanAlgebra,
     CoproductAlgebra,
+    atom_patterns,
     coproduct,
     exponential,
     generated_subalgebra,
@@ -19,12 +20,14 @@ from fnlab.boolalg import (
     interval_mask,
     literal_normal_forms,
     powerset_algebra,
+    subalgebra_index_mask,
+    subalgebra_masks,
     tree_algebra,
     tree_nodes,
 )
 from fnlab.errors import DegenerateCofactor, SizeExceeded, ZeroMember
 from fnlab.oracle import fixpoint_subalgebra
-from fnlab.poset import diamond
+from fnlab.poset import Poset, diamond
 
 
 def eval_dnf(C: CoproductAlgebra, conjuncts) -> int:
@@ -35,6 +38,26 @@ def eval_dnf(C: CoproductAlgebra, conjuncts) -> int:
             term &= C.embed(i, c)
         out |= term
     return out
+
+
+def naive_order(elems) -> Poset:
+    """The inclusion order on ``elems`` by comparing every pair."""
+    n = len(elems)
+    up = [0] * n
+    down = [0] * n
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if x & ~y == 0:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return Poset(n, tuple(up), tuple(down))
+
+
+def is_closed(k: int, elems) -> bool:
+    """Closure of a mask set under meet and complement, pair by pair."""
+    one = (1 << k) - 1
+    s = set(elems)
+    return 0 in s and all(one ^ x in s and x & y in s for x in s for y in s)
 
 
 def eval_cnf(C: CoproductAlgebra, clauses) -> int:
@@ -167,6 +190,12 @@ class TestTreeAlgebra:
         A = tree_algebra(2, 2)
         # Z(emptyset) is everything
         assert A.provenance["generators"][0] == (1 << A.k) - 1
+        # point by point: the colourings that are 0 on every node of I
+        for lam, kap in ((2, 2), (2, 3), (3, 2), (1, 5)):
+            A = tree_algebra(lam, kap)
+            for member, z in zip(A.provenance["family"], A.provenance["generators"]):
+                imask = sum(1 << i for i in member)
+                assert z == sum(1 << p for p in range(A.k) if p & imask == 0)
 
 
 class TestCoproduct:
@@ -334,6 +363,60 @@ class TestAtoms:
         assert union == A.one
 
 
+class TestWordParallelKernel:
+    def test_atom_patterns(self):
+        for k in range(7):
+            pats = atom_patterns(k)
+            assert len(pats) == k
+            for i, pat in enumerate(pats):
+                assert pat == sum(1 << x for x in range(1 << k) if x >> i & 1)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_powerset_order_matches_pairwise(self, k):
+        assert powerset_algebra(k).as_poset() == naive_order(range(1 << k))
+
+    def test_carrier_order_matches_pairwise(self):
+        A = generated_subalgebra(powerset_algebra(5), [0b00111, 0b01100])
+        assert A.as_poset() == naive_order(A.carrier)
+
+    def test_index_mask_matches_listed_masks(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            k = rng.randint(0, 8)
+            gens = [rng.randrange(1 << k) for _ in range(rng.randint(0, 5))]
+            listed = sum(1 << m for m in subalgebra_masks(k, gens))
+            assert subalgebra_index_mask(k, frozenset(gens)) == listed
+
+    def test_carrier_check_matches_pairwise_closure(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            k = rng.randint(0, 4)
+            if rng.random() < 0.5:
+                elems = set(subalgebra_masks(k, [rng.randrange(1 << k) for _ in range(2)]))
+                elems ^= {rng.randrange(1 << k)} if rng.random() < 0.5 else set()
+            else:
+                elems = {0, (1 << k) - 1} | {rng.randrange(1 << k) for _ in range(3)}
+            if is_closed(k, elems):
+                A = BooleanAlgebra(k, carrier=elems)
+                nonzero = [x for x in elems if x]
+                minimal = [x for x in nonzero if not any(y != x and y & ~x == 0 for y in nonzero)]
+                assert A.atoms() == tuple(sorted(minimal))
+            else:
+                with pytest.raises(ValueError):
+                    BooleanAlgebra(k, carrier=elems)
+
+    def test_carrier_check_refuses_duplicates_and_wide_masks(self):
+        for carrier in ([0, 0, 3, 3], [0, 1, 2, 3, 4, 7, 8, 15], [-1, 0]):
+            with pytest.raises(ValueError):
+                BooleanAlgebra(2, carrier=carrier)
+
+    def test_tree_vanishing_sets_past_the_work_bound(self):
+        # 13 nested vanishing sets give 2^13 elements of 2^13 atoms
+        with pytest.raises(SizeExceeded):
+            tree_algebra(1, 13)
+        assert tree_algebra(1, 12).size == 4096
+
+
 class TestSizeCaps:
     def test_order_obeys_poset_cap(self):
         # 8192 elements > MAX_ELEMENTS: refused before the all-pairs loop
@@ -347,6 +430,11 @@ class TestSizeCaps:
     def test_atom_cap_in_constructor(self):
         with pytest.raises(SizeExceeded):
             BooleanAlgebra(ALGEBRA_CAP + 1, carrier=[0, 1])
+
+    def test_carrier_work_bound_in_constructor(self):
+        # 32 masks of 2^20 bits hold more bits than 2^20 masks of 20 bits
+        with pytest.raises(SizeExceeded):
+            BooleanAlgebra(ALGEBRA_CAP, carrier=range(32))
 
     def test_negative_atoms_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +209,14 @@ class TestConstruct:
         assert main(["construct", *args]) == 2
         assert assert_one_error_line(capsys) == ""
 
+    @pytest.mark.parametrize(
+        "args", [["coproduct", "--atoms-list", "2,x"], ["subalgebra", "--gens", "x", "--ambient"]]
+    )
+    def test_non_integer_list_exit_two(self, tmp_path, args, capsys):
+        amb = write(tmp_path / "p2.json", ser.dumps(ser.algebra_to_obj(powerset_algebra(2))))
+        assert main(["construct", *args, *([amb] if args[-1] == "--ambient" else [])]) == 2
+        assert assert_one_error_line(capsys) == ""
+
 
 _COPRODUCT = ser.algebra_to_obj(coproduct([powerset_algebra(1)] * 2))
 _EXPONENTIAL = ser.algebra_to_obj(exponential(powerset_algebra(1)))
@@ -308,7 +319,7 @@ class TestTransport:
         assert assert_one_error_line(capsys) == ""
 
     def test_order_over_poset_cap_exit_three(self, tmp_path, capsys):
-        # 2^15 elements > MAX_ELEMENTS: refused before the all-pairs order
+        # 2^15 elements > MAX_ELEMENTS: refused before the order is built
         assert main(["construct", "coproduct", "--atoms-list", "3,5"]) == 0
         alg_f = write(tmp_path / "c35.json", capsys.readouterr().out)
         pairs = []
@@ -381,17 +392,109 @@ class TestGen:
         assert out.exists()
 
 
-def test_import_leaves_numpy_unloaded():
-    """Only the oracle's tables use numpy, so starting the CLI must not
-    import it.  Runs in a fresh interpreter on the imported ``fnlab``."""
+def run_child(args, prelude="pass", memory=None, timeout=60):
+    """Run the CLI in a fresh interpreter on the imported ``fnlab``, after
+    ``prelude``, with at most ``memory`` bytes of address space; return the
+    finished process and its wall time."""
     env = dict(os.environ)
     src_root = str(Path(fnlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    env.pop("FNLAB_NODE_BUDGET", None)
+    code = f"import sys; {prelude}; from fnlab.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    limit = None
+    if memory is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", "import fnlab.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
+        preexec_fn=limit,
     )
+    return proc, time.perf_counter() - start
+
+
+def test_import_leaves_numpy_unloaded():
+    """Only the oracle's tables use numpy, so starting the CLI must not
+    import it.  Runs in a fresh interpreter on the imported ``fnlab``."""
+    proc, _ = run_child([], prelude="import fnlab.cli; assert 'numpy' not in sys.modules; sys.exit(0)")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cmd", [["feasible", "--cap", "1,1"], ["frontier"]])
+def test_oracle_without_numpy_exit_two(diamond_file, cmd):
+    proc, _ = run_child(["oracle", cmd[0], diamond_file, *cmd[1:]], prelude="sys.modules['numpy'] = None")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_tree_past_work_bound_exit_three_fast():
+    """2^20 points and 20 nested vanishing sets: 2^20 elements of 2^20
+    atoms, refused from the block count before the carrier is listed."""
+    proc, wall = run_child(
+        ["construct", "tree", "--lam", "1", "--kap", "20"], memory=2 << 30, timeout=30
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert wall < 2
+
+
+class TestCarrierFile:
+    """A 2^16-element carrier over 24 atoms: the unions of 16 seeded blocks."""
+
+    @pytest.fixture
+    def carrier(self):
+        rng = random.Random(16)
+        owner = [a % 16 for a in range(24)]
+        rng.shuffle(owner)
+        blocks = [sum(1 << a for a in range(24) if owner[a] == b) for b in range(16)]
+        masks = [0]
+        for b in blocks:
+            masks += [m | b for m in masks]
+        return sorted(masks), blocks
+
+    def _construct(self, tmp_path, carrier):
+        alg = write(tmp_path / "big.json", ser.dumps({"kind": "subalgebra", "atoms": 24, "carrier": carrier}))
+        return run_child(["construct", "subalgebra", "--ambient", alg, "--gens", "0"])
+
+    def test_loads_within_a_second(self, tmp_path, carrier):
+        proc, wall = self._construct(tmp_path, carrier[0])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["carrier"] == [0, (1 << 24) - 1]
+        assert wall < 1
+
+    def test_unclosed_refused_within_a_second(self, tmp_path, carrier):
+        masks, blocks = carrier
+        masks[len(masks) // 2] ^= blocks[0] & -blocks[0]  # split one block once
+        proc, wall = self._construct(tmp_path, masks)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert wall < 1
+
+
+class TestWideIntegers:
+    """Masks wider than the interpreter's 4300-digit conversion limit."""
+
+    def test_construct_prints_and_reloads(self, tmp_path, capsys):
+        # 14 tree nodes: generators are masks over 2^14 points
+        assert main(["construct", "tree", "--lam", "13", "--kap", "2"]) == 0
+        out = capsys.readouterr().out
+        assert max(len(line) for line in out.splitlines()) > 4300
+        base = write(tmp_path / "tree.json", out)
+        assert main(["construct", "exponential", "--base", base]) == 0
+        assert ser.loads(capsys.readouterr().out)["base"] == ser.loads(out)
+
+    def test_loads_file_with_wide_mask(self, tmp_path, capsys):
+        one = (1 << 20000) - 1
+        obj = {"kind": "subalgebra", "atoms": 20000, "carrier": [0, one]}
+        assert main(["construct", "exponential", "--base", write(tmp_path / "w.json", ser.dumps(obj))]) == 0
+        assert ser.loads(capsys.readouterr().out)["base"]["carrier"] == [0, one]
+
+    def test_integer_wider_than_any_mask_exit_two(self, tmp_path, capsys):
+        text = '{"kind": "powerset", "atoms": %s}' % ("9" * 400000)
+        assert main(["construct", "exponential", "--base", write(tmp_path / "w.json", text)]) == 2
+        assert assert_one_error_line(capsys) == ""

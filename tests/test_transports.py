@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -223,3 +224,21 @@ class TestCarrierCofactorTransport:
         pairs = [trivial_pair(A.as_poset()), trivial_pair(powerset_algebra(1).as_poset())]
         out = transport_coproduct(C, pairs)
         assert verify_pair(out).valid
+
+
+def test_transport_outputs_frozen():
+    """One sha256 over the order rows and both maps of seeded coproduct and
+    exponential transports, frozen from the pairwise-order, element-by-element
+    closure implementation; the word-parallel kernel must reproduce it."""
+    h = hashlib.sha256()
+    rng = random.Random(2012)
+    outs = []
+    for ks in [(3, 3), (2, 5), (3, 4), (1, 2, 3)]:
+        pairs = [random_valid_pair(powerset_algebra(k).as_poset(), rng) for k in ks]
+        outs.append(transport_coproduct(coproduct([powerset_algebra(k) for k in ks]), pairs))
+    for k in (2, 3):
+        pair = random_valid_pair(powerset_algebra(k).as_poset(), rng)
+        outs.append(transport_exponential(exponential(powerset_algebra(k)), pair))
+    for out in outs:
+        h.update(repr((out.poset.up, out.poset.down, out.f, out.g)).encode())
+    assert h.hexdigest() == "b3332a123c41732e6be22b343f6e970039851513c417d7f9481813aeefbce789"
