@@ -4,9 +4,11 @@ Posets travel as cover (Hasse) edge lists with the closure recomputed on
 load; algebra elements travel as integer atom masks (bit ``i`` = atom ``i``,
 bit 0 least significant) under an atom-count header.  Serialization is
 canonical (sorted keys, two-space indent, trailing newline) so equal values
-produce identical bytes.  Integers may be as wide as a mask of
-``ALGEBRA_CAP`` atoms, past the interpreter's default conversion limit;
-wider ones are a parse error.
+produce identical bytes.  The text comes from this module's own writer,
+which equals ``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte but
+writes whole lists of integers at C speed.  Integers may be as wide as a
+mask of ``ALGEBRA_CAP`` atoms, past the interpreter's default conversion
+limit; wider ones are a parse error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 
 from .boolalg import (
@@ -31,7 +34,7 @@ from .boolalg import (
 from .errors import ParseError
 from .fnmaps.core import FnPair, Verdict
 from .fnmaps.search import Frontier
-from .poset import MonotoneMap, Poset, bits_of, mask_of, poset_from_covers
+from .poset import MAX_ELEMENTS, MonotoneMap, Poset, mask_of, poset_from_covers
 
 
 @contextmanager
@@ -47,9 +50,56 @@ def _mask_digits():
         limit(old)
 
 
+_escape = json.encoder.encode_basestring_ascii
+# the text of every element index, which is most of what pairs and verdicts hold
+_INDEX_TEXT = list(map(str, range(MAX_ELEMENTS)))
+
+
+def _write(o, pad: str, out: list) -> None:
+    """Append ``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it
+    at indent ``pad``; leaves it does not special-case go to ``json.dumps``."""
+    if type(o) is int:
+        out.append(str(o))
+    elif isinstance(o, str):
+        out.append(_escape(o))
+    elif isinstance(o, (list, tuple)) and o:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        if set(map(type, o)) == {int}:
+            text = _INDEX_TEXT.__getitem__ if 0 <= min(o) and max(o) < MAX_ELEMENTS else str
+            out.append(sep.join(map(text, o)))
+        else:
+            for i, x in enumerate(o):
+                if i:
+                    out.append(sep)
+                _write(x, inner, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(o, dict) and o:
+        inner = pad + "  "
+        out.append("{\n" + inner)
+        for i, (k, v) in enumerate(sorted(o.items())):
+            if i:
+                out.append(",\n" + inner)
+            out.append(_escape(k if isinstance(k, str) else _key_text(k)) + ": ")
+            _write(v, inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        out.append(json.dumps(o))
+
+
+def _key_text(k) -> str:
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def dumps(obj) -> str:
+    out: list[str] = []
     with _mask_digits():
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        _write(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str):
@@ -93,11 +143,20 @@ def poset_from_obj(obj) -> Poset:
 
 # ----------------------------------------------------------------- pairs
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _indices(mask: int) -> list[int]:
+    """``list(bits_of(mask))`` at C speed: the 1 digits of ``bin(mask)``,
+    read from the least significant end."""
+    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
 def pair_to_obj(pair: FnPair) -> dict:
     return {
         "poset": poset_to_obj(pair.poset),
-        "f": [sorted(bits_of(m)) for m in pair.f],
-        "g": [sorted(bits_of(m)) for m in pair.g],
+        "f": list(map(_indices, pair.f)),
+        "g": list(map(_indices, pair.g)),
     }
 
 
@@ -112,9 +171,22 @@ def pair_from_obj(obj, base_dir: Path | None = None) -> FnPair:
         P = poset_from_obj(load_file(path))
     else:
         P = poset_from_obj(ref)
-    f = tuple(mask_of(s) for s in obj["f"])
-    g = tuple(mask_of(s) for s in obj["g"])
-    return FnPair(P, f, g)
+    return FnPair(P, _masks(obj["f"], P.n, "f"), _masks(obj["g"], P.n, "g"))
+
+
+def _masks(images, n: int, name: str) -> tuple[int, ...]:
+    """The image lists of a pair file as masks, each entry checked before
+    it is shifted."""
+    if not isinstance(images, list) or not all(
+        _plain_ints(s) and (not s or 0 <= min(s) and max(s) < n) for s in images
+    ):
+        raise ParseError(f"pair '{name}' images must be lists of integers in [0, {n})")
+    return tuple(map(mask_of, images))
+
+
+def _plain_ints(values) -> bool:
+    """``values`` is a list of ints; JSON ``true`` and ``false`` do not count."""
+    return isinstance(values, list) and set(map(type, values)) <= {int}
 
 
 # -------------------------------------------------------------- verdicts
@@ -158,9 +230,10 @@ def map_to_obj(m: MonotoneMap) -> dict:
 def map_from_obj(obj) -> MonotoneMap:
     if not isinstance(obj, dict) or not {"dom", "cod", "image"} <= set(obj):
         raise ParseError("map object needs 'dom', 'cod' and 'image' fields")
-    return MonotoneMap(
-        poset_from_obj(obj["dom"]), poset_from_obj(obj["cod"]), tuple(obj["image"])
-    )
+    dom, cod, image = poset_from_obj(obj["dom"]), poset_from_obj(obj["cod"]), obj["image"]
+    if not _plain_ints(image) or len(image) != dom.n:
+        raise ParseError("map 'image' must list one integer per domain element")
+    return MonotoneMap(dom, cod, tuple(image))
 
 
 # -------------------------------------------------------------- frontiers

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -69,6 +70,25 @@ class TestVerify:
         assert main(["verify", valid_pair_file, "--interpolants"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert {"p": 0, "q": 3, "r": 3, "s": 0} in out["interpolants"]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            [[0], [1], [5, [1]], [3]],  # a list inside an image
+            [[0], [1], [-1], [3]],  # a negative index
+            [[0], [1], [1.5], [3]],  # a float
+            [[0], [1], [99999999999], [3]],  # an index far past n
+            [[0], [1], [4], [3]],  # the first index past n
+            [[0], [True], [2], [3]],  # JSON true is not element 1
+            [[0], [1], "2", [3]],  # an image that is not a list
+            {"0": [0]},  # images that are not a list
+        ],
+    )
+    def test_bad_image_entry_exit_two(self, tmp_path, capsys, f):
+        obj = ser.pair_to_obj(trivial_pair(diamond()))
+        obj["f"] = f
+        assert main(["verify", write(tmp_path / "p.json", json.dumps(obj))]) == 2
+        assert assert_one_error_line(capsys) == ""
 
 
 class TestSearch:
@@ -310,6 +330,19 @@ class TestTransport:
         assert rc == 0
         assert ser.pair_from_obj(json.loads(captured.out)).poset == chain(3)
 
+    @pytest.mark.parametrize("image", [[0, "x"], [0, None], [0, 1.0], [0, True], [0], "02", 2])
+    def test_bad_section_image_exit_two(self, tmp_path, capsys, image):
+        Q, P = chain(3), chain(2)
+        pair_f = write(tmp_path / "pq.json", ser.dumps(ser.pair_to_obj(trivial_pair(Q))))
+        i = {"dom": ser.poset_to_obj(P), "cod": ser.poset_to_obj(Q), "image": image}
+        i_f = write(tmp_path / "i.json", json.dumps(i))
+        j_f = write(tmp_path / "j.json", ser.dumps(ser.map_to_obj(MonotoneMap(Q, P, (0, 0, 1)))))
+        rc = main(
+            ["transport", "retract", "--pair", pair_f, "--section", i_f, "--retraction", j_f]
+        )
+        assert rc == 2
+        assert assert_one_error_line(capsys) == ""
+
     def test_missing_pair_exit_two(self):
         assert main(["transport", "retract"]) == 2
 
@@ -390,6 +423,40 @@ class TestGen:
         out = tmp_path / "g.json"
         assert main(["gen", "pair", diamond_file, "-o", str(out)]) == 0
         assert out.exists()
+
+
+def test_cli_outputs_frozen(tmp_path, capsys):
+    """One sha256 per stdout of a seeded session, frozen from the output of
+    ``json.dumps(obj, sort_keys=True, indent=2)``: ``gen pair`` on a
+    256-element poset, ``verify --interpolants`` on that pair, and
+    ``transport coproduct`` over 2 and 5 atoms on seeded pairs."""
+
+    def run(*argv, save=None):
+        assert main(list(argv)) == 0
+        captured = capsys.readouterr()
+        if save is not None:
+            write(tmp_path / save, captured.out)
+        return captured
+
+    def digest(captured):
+        return hashlib.sha256(captured.out.encode()).hexdigest()
+
+    run("gen", "poset", "--n", "256", "--seed", "2012", save="p256.json")
+    pair = run("gen", "pair", str(tmp_path / "p256.json"), "--seed", "7", save="q256.json")
+    verdict = run("verify", str(tmp_path / "q256.json"), "--interpolants")
+    run("construct", "coproduct", "--atoms-list", "2,5", save="c25.json")
+    args = ["transport", "coproduct", "--algebra", str(tmp_path / "c25.json")]
+    for k in (2, 5):
+        write(tmp_path / f"b{k}.json", ser.dumps(ser.poset_to_obj(powerset_algebra(k).as_poset())))
+        run("gen", "pair", str(tmp_path / f"b{k}.json"), "--seed", str(k), save=f"q{k}.json")
+        args += ["--pair", str(tmp_path / f"q{k}.json")]
+    transported = run(*args)
+    assert transported.err == '{\n  "valid": true\n}\n'
+    assert [digest(c) for c in (pair, verdict, transported)] == [
+        "a2b2d35c7703b72a8e5de78ea050db49e54934666611181a78e10857cfc6b985",
+        "49b82201a3d403ca24af90654e0198add66a4cb72f4261ccdf6419cd6f90b47d",
+        "0273709df392fbddc230e1c17f05ea29ac7e0b750f7db62c481cea11d8745f01",
+    ]
 
 
 def run_child(args, prelude="pass", memory=None, timeout=60):

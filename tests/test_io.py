@@ -1,4 +1,9 @@
+import json
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fnlab import serialize as ser
 from fnlab.boolalg import (
@@ -11,7 +16,7 @@ from fnlab.boolalg import (
 )
 from fnlab.errors import ParseError
 from fnlab.fnmaps import FnPair, Verdict, trivial_pair, verify_pair
-from fnlab.poset import MonotoneMap, chain, diamond, poset_from_covers
+from fnlab.poset import MonotoneMap, bits_of, chain, diamond, poset_from_covers
 
 
 class TestPosetRoundTrip:
@@ -118,3 +123,77 @@ class TestCanonicalBytes:
         a = ser.dumps(ser.pair_to_obj(trivial_pair(diamond())))
         b = ser.dumps(ser.pair_to_obj(trivial_pair(diamond())))
         assert a == b and a.endswith("\n")
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.text(),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """``dumps`` is ``json.dumps(sort_keys=True, indent=2)`` plus a newline."""
+
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, obj):
+        assert ser.dumps(obj) == reference(obj)
+
+    @given(st.lists(st.integers(-5, 5000)), st.lists(st.integers(0, 4095)))
+    def test_int_lists(self, mixed, indices):
+        obj = {"mixed": mixed, "indices": indices, "nested": [indices, [mixed]]}
+        assert ser.dumps(obj) == reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            {},
+            [[], {}, [[]]],
+            [1, True, 0, False, None],
+            [True, False],
+            (1, 2, 3),
+            {"labels": [0, 1, 2, 10]},
+            {"labels": [0, "1", 2.5, -3]},
+            {"s": 'a"b\\c\n\u00e9\u2603\U0001f600\x00\x1f'},
+            {"b": 1, "a": {"z": [], "y": {}}},
+            {2: "int keys", 10: None, -1: [True]},
+            {True: 0, False: 1},
+            "top-level string",
+            7,
+            None,
+        ],
+    )
+    def test_explicit_cases(self, obj):
+        assert ser.dumps(obj) == reference(obj)
+
+    def test_numeric_labels(self):
+        P = poset_from_covers(3, [(0, 1), (0, 2)], labels=[10, 20, 30])
+        obj = ser.poset_to_obj(P)
+        assert ser.dumps(obj) == reference(obj)
+
+    def test_mask_about_two_to_the_twenty_bits(self):
+        wide = (1 << (1 << 20)) - 12345
+        obj = {"kind": "subalgebra", "carrier": [0, 3, wide], "atoms": 1 << 20}
+        text = ser.dumps(obj)
+        with ser._mask_digits():
+            assert text == reference(obj)
+
+    def test_bad_key_refused_like_json(self):
+        with pytest.raises(TypeError):
+            ser.dumps({(1, 2): 0})
+
+
+def test_pair_index_lists_match_bits_of():
+    n = 512
+    rng = random.Random(7)
+    masks = [0, 1, 1 << (n - 1), (1 << n) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, n + 1)) for _ in range(2 * n - len(masks))]
+    pair = FnPair(poset_from_covers(n, []), tuple(masks[:n]), tuple(masks[n:]))
+    obj = ser.pair_to_obj(pair)
+    assert obj["f"] == [list(bits_of(m)) for m in pair.f]
+    assert obj["g"] == [list(bits_of(m)) for m in pair.g]
