@@ -11,9 +11,9 @@ tree algebra, coproduct (free product), and the exponential (the clopen
 algebra of the hyperspace of the Stone dual, here the powerset over the
 nonzero elements since every filter of a finite algebra is principal).
 
-Full powersets build their element order, and generated subalgebras their
+Every algebra builds its element order, and generated subalgebras their
 element masks, word-parallel from per-atom bit patterns (``atom_patterns``)
-and atom blocks (``atom_blocks``).
+and atom blocks (``atom_blocks``); coproducts embed by lane masks.
 
 Size caps: every algebra goes through the :class:`BooleanAlgebra`
 constructor, which refuses more than ``ALGEBRA_CAP`` elements or atoms, and
@@ -173,27 +173,21 @@ class BooleanAlgebra:
         return tuple(sorted(atom_blocks(self.k, self.carrier, self.size.bit_length() - 1)))
 
     def as_poset(self) -> Poset:
-        """The inclusion order on the elements, indexed by ascending mask: a
-        full powerset extends row ``x ^ low`` by the least atom ``low`` of
-        ``x``, a carrier algebra compares every pair."""
+        """The inclusion order on the elements, indexed by ascending mask.
+        An algebra of ``2**b`` elements has the order of the ``b``-atom
+        powerset (two unions of atom blocks compare as integers by the top
+        block of their symmetric difference), so row ``x`` extends row
+        ``x ^ low`` by the least atom ``low`` of ``x``."""
         if self._poset is None:
-            check_poset_size(self.size)
             n = self.size
-            up = [0] * n
-            down = [0] * n
-            if self.carrier is None:
-                pat = atom_patterns(self.k)
-                up[0], down[0] = (1 << n) - 1, 1
-                for x in range(1, n):
-                    low = x & -x
-                    up[x] = up[x ^ low] & pat[low.bit_length() - 1]
-                    down[x] = down[x ^ low] | down[x ^ low] << low
-            else:
-                for i, x in enumerate(self.carrier):
-                    for j, y in enumerate(self.carrier):
-                        if x & ~y == 0:
-                            up[i] |= 1 << j
-                            down[j] |= 1 << i
+            check_poset_size(n)
+            pat = atom_patterns(n.bit_length() - 1)
+            up = [(1 << n) - 1] + [0] * (n - 1)
+            down = [1] + [0] * (n - 1)
+            for x in range(1, n):
+                low = x & -x
+                up[x] = up[x ^ low] & pat[low.bit_length() - 1]
+                down[x] = down[x ^ low] | down[x ^ low] << low
             self._poset = Poset(n, tuple(up), tuple(down))
         return self._poset
 
@@ -358,9 +352,13 @@ class CoproductAlgebra:
     """Free product of finite boolean algebras.
 
     The base is the full powerset over the cartesian product of the cofactor
-    atom sets (product atoms are indexed row-major by cofactor atom index).
-    Each cofactor embeds by ``e_i(b) = {atom tuples whose i-th coordinate
-    lies below b}``; images of distinct cofactors meet exactly in ``{0, 1}``.
+    atom sets, product atoms indexed row-major by cofactor atom index.  One
+    pass over the product builds two tables: ``lanes[i][j]``, the mask of
+    the product atoms whose ``i``-th coordinate is atom ``j``, and
+    ``conjuncts[t]``, the literals of product atom ``t`` (its coordinate
+    atoms other than a cofactor's 1).  ``e_i(b)`` is the union of the lanes
+    of the atoms below ``b``; images of distinct cofactors meet exactly in
+    ``{0, 1}``.
     """
 
     def __init__(self, cofactors):
@@ -384,71 +382,34 @@ class CoproductAlgebra:
                 "cofactor_atoms": self.arities,
             },
         )
-        # strides for row-major atom-tuple indexing
-        self._strides = [0] * len(cofactors)
-        s = 1
-        for i in range(len(cofactors) - 1, -1, -1):
-            self._strides[i] = s
-            s *= self.arities[i]
-        self._embed_cache: list[dict[int, int]] = [dict() for _ in cofactors]
-        self._nf_cache: dict[int, "LiteralNF"] = {}
-        self._image_cache: dict[int, tuple[int, ...]] = {}
-        self._proj_cache: dict[int, tuple[list[int], list[int]]] = {}
+        lanes = [[0] * m for m in self.arities]
+        conjuncts = []
+        for t, combo in enumerate(product(*map(range, self.arities))):
+            lits = []
+            for i, j in enumerate(combo):
+                lanes[i][j] |= 1 << t
+                atom = self.atom_lists[i][j]
+                if atom != cofactors[i].one:
+                    lits.append((i, atom))
+            conjuncts.append(frozenset(lits))
+        self.lanes = tuple(map(tuple, lanes))
+        self.conjuncts = tuple(conjuncts)
 
     @property
     def katoms(self) -> int:
         return self.base.k
 
-    def atom_tuple(self, t: int) -> tuple[int, ...]:
-        """Cofactor atom indices of product atom ``t``."""
-        out = []
-        for i, m in enumerate(self.arities):
-            out.append((t // self._strides[i]) % m)
-        return tuple(out)
-
     def embed(self, i: int, b: int) -> int:
         """Embedding of cofactor-``i`` element ``b`` into the base."""
-        cached = self._embed_cache[i].get(b)
-        if cached is not None:
-            return cached
-        coords = [range(m) for m in self.arities]
-        below = [
-            j for j, atom in enumerate(self.atom_lists[i]) if atom & ~b == 0
-        ]
-        coords[i] = below
         mask = 0
-        for combo in product(*coords):
-            mask |= 1 << sum(c * s for c, s in zip(combo, self._strides))
-        self._embed_cache[i][b] = mask
+        for atom, lane in zip(self.atom_lists[i], self.lanes[i]):
+            if atom & ~b == 0:
+                mask |= lane
         return mask
-
-    def projection_tables(self, j: int) -> tuple[list[int], list[int]]:
-        """Per product atom ``t``: the embedded ``j``-coordinate atom, and the
-        embedded complement of that atom (used for the upper and lower
-        cofactor projections)."""
-        cached = self._proj_cache.get(j)
-        if cached is not None:
-            return cached
-        plus = []
-        minus = []
-        Bj = self.cofactors[j]
-        emb = {}
-        for t in range(self.katoms):
-            atom = self.atom_lists[j][self.atom_tuple(t)[j]]
-            if atom not in emb:
-                emb[atom] = (self.embed(j, atom), self.embed(j, Bj.complement(atom)))
-            plus.append(emb[atom][0])
-            minus.append(emb[atom][1])
-        self._proj_cache[j] = (plus, minus)
-        return plus, minus
 
     def embedded_image(self, i: int) -> tuple[int, ...]:
         """All base elements in the image of cofactor ``i``, ascending."""
-        if i not in self._image_cache:
-            self._image_cache[i] = tuple(
-                sorted(self.embed(i, b) for b in self.cofactors[i].elements())
-            )
-        return self._image_cache[i]
+        return _unions(self.lanes[i])
 
     def __eq__(self, other):
         return (
@@ -478,37 +439,19 @@ class LiteralNF(NamedTuple):
     cnf: tuple[frozenset[tuple[int, int]], ...]
 
 
-def _atom_conjuncts(C: CoproductAlgebra, x: int):
-    conjuncts = []
-    for t in bits_of(x):
-        lits = []
-        for i, ai in enumerate(C.atom_tuple(t)):
-            atom = C.atom_lists[i][ai]
-            if atom != C.cofactors[i].one:
-                lits.append((i, atom))
-        conjuncts.append(frozenset(lits))
-    return tuple(conjuncts)
-
-
 def literal_normal_forms(C: CoproductAlgebra, x: int) -> LiteralNF:
     """Canonical DNF/CNF of a base element over cofactor literals."""
-    cached = C._nf_cache.get(x)
-    if cached is not None:
-        return cached
     one = C.base.one
     if x == 0:
-        nf = LiteralNF((), (frozenset(),))
-    elif x == one:
-        nf = LiteralNF((frozenset(),), ())
-    else:
-        dnf = _atom_conjuncts(C, x)
-        cnf = tuple(
-            frozenset((i, C.cofactors[i].complement(c)) for i, c in clause)
-            for clause in _atom_conjuncts(C, one ^ x)
-        )
-        nf = LiteralNF(dnf, cnf)
-    C._nf_cache[x] = nf
-    return nf
+        return LiteralNF((), (frozenset(),))
+    if x == one:
+        return LiteralNF((frozenset(),), ())
+    dnf = tuple(C.conjuncts[t] for t in bits_of(x))
+    cnf = tuple(
+        frozenset((i, C.cofactors[i].complement(c)) for i, c in C.conjuncts[t])
+        for t in bits_of(one ^ x)
+    )
+    return LiteralNF(dnf, cnf)
 
 
 class ExponentialAlgebra:

@@ -137,13 +137,11 @@ def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
 
 
 def verify_single(P: Poset, h: Sequence[object], with_interpolants: bool = False) -> Verdict:
-    """Single-map verification: ``r in h(p) ∩ h(q)`` with ``p <= r <= q``."""
-    masks = _coerce_map(P, h, "h")
-    hit = _scan(P, masks, masks)
-    if hit is not None:
-        return Verdict(False, (hit[0], hit[1], 1))
-    inter = _interpolants(P, masks, masks) if with_interpolants else None
-    return Verdict(True, None, inter)
+    """Single-map verification: ``r in h(p) ∩ h(q)`` with ``p <= r <= q``.
+
+    With ``f = g`` the two clauses coincide, so a violation is clause 1."""
+    h = _coerce_map(P, h, "h")
+    return verify_pair(FnPair(P, h, h), with_interpolants)
 
 
 def collapse(pair: FnPair) -> SetMap:

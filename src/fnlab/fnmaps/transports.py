@@ -102,23 +102,21 @@ def cofactor_projections(C: CoproductAlgebra, j: int, x: int) -> tuple[int, int]
     """Least element of the ``j``-th cofactor image above ``x`` and greatest
     below ``x``.
 
-    ``x+`` is the join over the canonical DNF conjuncts of the meet of their
-    ``j``-literals (empty meet 1); since each conjunct is a product atom
-    with a single ``j``-coordinate, this reduces to a join of embedded
-    coordinate atoms over the atoms of ``x``.  ``x-`` is the De Morgan dual
-    over the canonical CNF.
+    Each DNF conjunct of ``x`` is a product atom with a single
+    ``j``-coordinate, and the embedded ``j``-atoms are the lanes
+    ``C.lanes[j]``: ``x+`` is the join of the lanes that meet ``x``, and
+    ``x-``, the De Morgan dual over the CNF, the join of the lanes inside it.
     """
     if not 0 <= j < len(C.cofactors):
         raise IndexOutOfRange(f"no cofactor {j}")
     if x >> C.katoms:
         raise IndexOutOfRange(f"mask {x} is not a base element")
-    plus_t, minus_t = C.projection_tables(j)
-    xplus = 0
-    for t in bits_of(x):
-        xplus |= plus_t[t]
-    xminus = C.base.one
-    for t in bits_of(C.base.one ^ x):
-        xminus &= minus_t[t]
+    xplus = xminus = 0
+    for lane in C.lanes[j]:
+        if lane & x:
+            xplus |= lane
+            if lane & ~x == 0:
+                xminus |= lane
     return xplus, xminus
 
 

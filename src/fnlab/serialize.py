@@ -128,17 +128,17 @@ def poset_to_obj(P: Poset) -> dict:
 def poset_from_obj(obj) -> Poset:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ParseError("poset object needs an 'n' field")
-    try:
-        n = int(obj["n"])
-        covers = [(int(lo), int(hi)) for lo, hi in obj.get("covers", [])]
-    except (TypeError, ValueError):
-        raise ParseError("poset needs an integer 'n' and [lo, hi] integer covers") from None
+    n, covers = obj["n"], obj.get("covers", [])
+    if not _plain_ints([n]) or not isinstance(covers, list) or not all(
+        _plain_ints(c) and len(c) == 2 for c in covers
+    ):
+        raise ParseError("poset needs an integer 'n' and [lo, hi] integer covers")
     if n < 0:
         raise ParseError("poset 'n' must be at least 0")
     labels = obj.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise ParseError("poset 'labels' must name each of the n elements")
-    return poset_from_covers(n, covers, labels)
+    return poset_from_covers(n, [tuple(c) for c in covers], labels)
 
 
 # ----------------------------------------------------------------- pairs
@@ -296,20 +296,19 @@ def algebra_from_obj(obj):
     kind = obj["kind"]
     try:
         if kind == "powerset":
-            return powerset_algebra(int(obj["atoms"]))
+            return powerset_algebra(_int(obj, "atoms"))
         if kind == "interval":
-            return interval_algebra(int(obj["n"]))
+            return interval_algebra(_int(obj, "n"))
         if kind == "tree":
-            return tree_algebra(int(obj["lam"]), int(obj["kap"]))
+            return tree_algebra(_int(obj, "lam"), _int(obj, "kap"))
         if kind == "subalgebra":
+            atoms, carrier, gens = _int(obj, "atoms"), obj["carrier"], obj.get("generators", [])
+            if not _plain_ints(carrier) or not _plain_ints(gens):
+                raise TypeError("'carrier' and 'generators' must be lists of integers")
             return BooleanAlgebra(
-                int(obj["atoms"]),
-                carrier=[int(x) for x in obj["carrier"]],
-                provenance={
-                    "kind": "subalgebra",
-                    "atoms": int(obj["atoms"]),
-                    "generators": [int(x) for x in obj.get("generators", [])],
-                },
+                atoms,
+                carrier=carrier,
+                provenance={"kind": "subalgebra", "atoms": atoms, "generators": gens},
             )
         if kind == "coproduct":
             return coproduct([_plain_algebra_from_obj(c) for c in obj["cofactors"]])
@@ -320,6 +319,13 @@ def algebra_from_obj(obj):
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad {kind} algebra: {e}") from None
     raise ParseError(f"unknown algebra kind {kind!r}")
+
+
+def _int(obj: dict, field: str) -> int:
+    """``obj[field]``, which must be a plain int."""
+    if not _plain_ints([obj[field]]):
+        raise TypeError(f"'{field}' must be an integer")
+    return obj[field]
 
 
 def _plain_algebra_from_obj(obj) -> BooleanAlgebra:

@@ -1,5 +1,6 @@
 import inspect
 import random
+import time
 from itertools import product
 
 import pytest
@@ -376,8 +377,23 @@ class TestWordParallelKernel:
         assert powerset_algebra(k).as_poset() == naive_order(range(1 << k))
 
     def test_carrier_order_matches_pairwise(self):
-        A = generated_subalgebra(powerset_algebra(5), [0b00111, 0b01100])
-        assert A.as_poset() == naive_order(A.carrier)
+        rng = random.Random(8)
+        algebras = [generated_subalgebra(powerset_algebra(5), [0b00111, 0b01100])]
+        for _ in range(60):
+            k = rng.randint(0, 8)
+            gens = [rng.randrange(1 << k) for _ in range(rng.randint(0, 4))]
+            algebras.append(generated_subalgebra(powerset_algebra(k), gens))
+        algebras += [interval_algebra(n) for n in range(6)]
+        trees = [(0, 1), (1, 1), (1, 3), (1, 6), (2, 2), (2, 3), (3, 2), (3, 3)]
+        algebras += [tree_algebra(lam, kap) for lam, kap in trees]
+        for A in algebras:
+            assert A.as_poset() == naive_order(A.carrier), A
+
+    def test_carrier_order_is_word_parallel(self):
+        A = tree_algebra(1, 12)  # 4096 elements: a pairwise order takes seconds
+        t = time.perf_counter()
+        assert A.as_poset().n == 4096
+        assert time.perf_counter() - t < 1.0
 
     def test_index_mask_matches_listed_masks(self):
         rng = random.Random(6)

@@ -156,6 +156,20 @@ class TestFrontier:
         assert "# inconclusive" in out
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2.7, "covers": [[0.9, 1]]}',  # floats are not cut to ints
+            '{"n": true}',  # JSON true is not 1
+            '{"n": 2, "covers": [[0, true]]}',
+            '{"n": "2"}',
+            '{"n": 2, "covers": [[0, 1, 1]]}',
+        ],
+    )
+    def test_non_integer_poset_file_exit_two(self, tmp_path, capsys, text):
+        assert main(["frontier", write(tmp_path / "p.json", text)]) == 2
+        assert assert_one_error_line(capsys) == ""
+
     def test_budget_outcome_same_for_every_worker_count(self, tmp_path, capsys):
         assert main(["gen", "poset", "--n", "8", "--seed", "3"]) == 0
         f = write(tmp_path / "p8.json", capsys.readouterr().out)
@@ -245,6 +259,11 @@ _EXPONENTIAL = ser.algebra_to_obj(exponential(powerset_algebra(1)))
 BAD_ALGEBRA_FILES = {
     "no_atoms": {"kind": "powerset"},
     "text_atoms": {"kind": "powerset", "atoms": "x"},
+    "float_atoms": {"kind": "powerset", "atoms": 2.5},
+    "true_atoms": {"kind": "powerset", "atoms": True},
+    "float_kap": {"kind": "tree", "lam": 2, "kap": 2.0},
+    "float_carrier": {"kind": "subalgebra", "atoms": 2, "carrier": [0, 3.0]},
+    "true_generator": {"kind": "subalgebra", "atoms": 2, "carrier": [0, 3], "generators": [True]},
     "negative_lam": {"kind": "tree", "lam": -1, "kap": 2},
     "carrier_without_one": {"kind": "subalgebra", "atoms": 2, "carrier": [0, 1, 2]},
     "coproduct": _COPRODUCT,
@@ -270,6 +289,12 @@ BAD_ALGEBRA_FILES = {
         (["transport", "coproduct", "--algebra"], "coproduct_of_coproduct"),
         (["transport", "exponential", "--algebra"], "powerset"),
         (["transport", "exponential", "--algebra"], "exponential_of_coproduct"),
+        (["construct", "exponential", "--base"], "float_atoms"),
+        (["construct", "exponential", "--base"], "true_atoms"),
+        (["construct", "exponential", "--base"], "float_kap"),
+        (["construct", "exponential", "--base"], "float_carrier"),
+        (["construct", "exponential", "--base"], "true_generator"),
+        (["construct", "coproduct", "--cofactor"], "float_atoms"),
     ],
 )
 def test_bad_algebra_file_exit_two(tmp_path, valid_pair_file, capsys, args, name):

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from fnlab.boolalg import coproduct, exponential, powerset_algebra
+from fnlab.boolalg import (
+    coproduct,
+    exponential,
+    generated_subalgebra,
+    literal_normal_forms,
+    powerset_algebra,
+    tree_algebra,
+)
 from fnlab.errors import (
     DomainMismatch,
     EmptySubset,
@@ -242,3 +249,26 @@ def test_transport_outputs_frozen():
     for out in outs:
         h.update(repr((out.poset.up, out.poset.down, out.f, out.g)).encode())
     assert h.hexdigest() == "b3332a123c41732e6be22b343f6e970039851513c417d7f9481813aeefbce789"
+
+
+def test_coproduct_tables_frozen():
+    """One sha256 over the normal forms, embeddings, embedded images and
+    cofactor projections of every element of four coproducts, the last with
+    carrier cofactors (a generated subalgebra and a tree algebra).  Frozen
+    from the tuple-indexed coproduct implementation; the lane-mask tables
+    must reproduce it."""
+    h = hashlib.sha256()
+    cofactor_lists = [[powerset_algebra(k) for k in ks] for ks in [(2, 3), (3, 3), (1, 2, 3)]]
+    cofactor_lists.append(
+        [generated_subalgebra(powerset_algebra(5), [0b00111, 0b01100]), tree_algebra(2, 2)]
+    )
+    for cofactors in cofactor_lists:
+        C = coproduct(cofactors)
+        for i, B in enumerate(C.cofactors):
+            h.update(repr([C.embed(i, b) for b in B.elements()]).encode())
+            h.update(repr(C.embedded_image(i)).encode())
+        for x in range(C.base.size):
+            forms = [[sorted(c) for c in form] for form in literal_normal_forms(C, x)]
+            projections = [cofactor_projections(C, j, x) for j in range(len(C.cofactors))]
+            h.update(repr((forms, projections)).encode())
+    assert h.hexdigest() == "74b7b0d9e8d38ce0853de7866fa0ee150a3096fc5c238ab4b1300b8f2f3f83fb"
