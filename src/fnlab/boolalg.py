@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .errors import (
     DegenerateCofactor,
     EmptySubset,
+    InvalidArgument,
     RelationViolation,
     SizeExceeded,
     ZeroMember,
@@ -103,7 +104,7 @@ class BooleanAlgebra:
 
     def __init__(self, k: int, carrier=None, provenance=None, _validate=True):
         if k < 0:
-            raise ValueError(f"atom count {k} is negative")
+            raise InvalidArgument(f"atom count {k} is negative")
         if carrier is None:
             _check_power(k, "elements")
         elif k > ALGEBRA_CAP:
@@ -128,7 +129,7 @@ class BooleanAlgebra:
         b = len(self.carrier).bit_length() - 1
         blocks = atom_blocks(self.k, self.carrier, b)
         if len(blocks) != b or _unions(blocks) != self.carrier:
-            raise ValueError(f"carrier is not a subalgebra of the {self.k}-atom powerset")
+            raise InvalidArgument(f"carrier is not a subalgebra of the {self.k}-atom powerset")
 
     # Lattice operations on element masks.
     def meet(self, x: int, y: int) -> int:
@@ -162,7 +163,7 @@ class BooleanAlgebra:
 
         i = bisect.bisect_left(self.carrier, mask)
         if i == len(self.carrier) or self.carrier[i] != mask:
-            raise ValueError(f"mask {mask} is not an element of the algebra")
+            raise InvalidArgument(f"mask {mask} is not an element of the algebra")
         return i
 
     def atoms(self) -> tuple[int, ...]:
@@ -245,7 +246,7 @@ def generated_subalgebra(B: BooleanAlgebra, gens) -> BooleanAlgebra:
         if B.carrier is not None:
             B.element_index(x)  # membership check
         elif x >> B.k:
-            raise ValueError(f"generator {x} does not fit {B.k} atoms")
+            raise InvalidArgument(f"generator {x} does not fit {B.k} atoms")
     carrier = subalgebra_masks(B.k, gens)
     return BooleanAlgebra(
         B.k,
@@ -267,6 +268,8 @@ def interval_algebra(n: int) -> BooleanAlgebra:
     nonempty generators ``[alpha, beta)`` with ``alpha < beta <= n`` are kept
     in the provenance for experiments.
     """
+    if n < 0:
+        raise InvalidArgument(f"interval chain length {n} is negative")
     _check_power(n, "elements")
     gens = [interval_mask(a, b) for a in range(n) for b in range(a + 1, n + 1)]
     return BooleanAlgebra(
@@ -317,7 +320,7 @@ def tree_algebra(lam: int, kap: int) -> BooleanAlgebra:
     vanish on ``I``.
     """
     if lam < 0 or kap < 1:
-        raise ValueError("need lam >= 0 and kap >= 1")
+        raise InvalidArgument("need lam >= 0 and kap >= 1")
     # the tree has lam**0 + ... + lam**(kap-1) nodes; levels past the cap's
     # exponent only grow a count that is refused already
     _check_power(sum(lam**i for i in range(min(kap, ALGEBRA_CAP.bit_length()))), "points")
@@ -364,7 +367,7 @@ class CoproductAlgebra:
     def __init__(self, cofactors):
         cofactors = list(cofactors)
         if not cofactors:
-            raise ValueError("need at least one cofactor")
+            raise InvalidArgument("need at least one cofactor")
         for B in cofactors:
             if B.size < 2:
                 raise DegenerateCofactor("cofactors must have at least two elements")

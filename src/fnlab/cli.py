@@ -3,14 +3,13 @@
 Data goes to stdout (or ``-o``), diagnostics to stderr.  Exit codes:
 0 success, 1 invalid verdict or no pair found, 2 usage or parse error,
 3 size cap or node budget exceeded, 4 transport output failed its own
-verification (internal-error class).  ``FNLAB_NODE_BUDGET`` overrides the
-default search budget; a ``--budget`` flag overrides both.
+verification (internal-error class).  The library checks its own
+arguments; ``main`` maps its errors to exit codes in one place.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -44,10 +43,10 @@ from .fnmaps import (
     transport_subalgebra,
     verify_pair,
 )
+from .fnmaps.search import DEFAULT_NODE_BUDGET, Frontier
 from .gen import DEFAULT_SEED, random_poset, random_valid_pair
 from .oracle import brute_feasible, brute_frontier, enumerate_posets
 from .poset import SubsetView
-from .fnmaps.search import DEFAULT_NODE_BUDGET
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -80,8 +79,6 @@ def _parse_cap(text: str) -> tuple[int, int]:
         a, b = (int(t) for t in text.split(","))
     except ValueError:
         raise ParseError("capacity must be 'a,b'") from None
-    if a < 1 or b < 1:
-        raise ParseError("capacities must be at least 1")
     return a, b
 
 
@@ -92,13 +89,68 @@ def _parse_ints(text: str) -> list[int]:
         raise ParseError("expected comma-separated integers") from None
 
 
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("FNLAB_NODE_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_NODE_BUDGET
+def _coproduct_parts(args) -> list:
+    if args.cofactor:
+        return [_load_algebra(p, BooleanAlgebra) for p in args.cofactor]
+    if args.atoms_list is not None:
+        return [powerset_algebra(k) for k in _parse_ints(args.atoms_list)]
+    raise ParseError("construct coproduct needs --cofactor or --atoms-list")
+
+
+def _subalgebra_transport(args):
+    pair = _load_pair(args.pair[0])
+    view = SubsetView(pair.poset, frozenset(_parse_ints(args.members)))
+    return transport_subalgebra(pair, view)[0]
+
+
+# For each construction and transport: the options it cannot do without, and
+# what it runs.  The library is reached through this module's globals at
+# call time, where a tracer may have wrapped it.
+_CONSTRUCT = {
+    "powerset": (("atoms",), lambda a: powerset_algebra(a.atoms)),
+    "interval": (("n",), lambda a: interval_algebra(a.n)),
+    "tree": (("lam", "kap"), lambda a: tree_algebra(a.lam, a.kap)),
+    "subalgebra": (
+        ("ambient", "gens"),
+        lambda a: generated_subalgebra(
+            _load_algebra(a.ambient, BooleanAlgebra), _parse_ints(a.gens)
+        ),
+    ),
+    "coproduct": ((), lambda a: coproduct(_coproduct_parts(a))),
+    "exponential": (("base",), lambda a: exponential(_load_algebra(a.base, BooleanAlgebra))),
+}
+_TRANSPORT = {
+    "retract": (
+        ("pair", "section", "retraction"),
+        lambda a: transport_retract(
+            _load_pair(a.pair[0]),
+            ser.map_from_obj(ser.load_file(a.section)),
+            ser.map_from_obj(ser.load_file(a.retraction)),
+        ),
+    ),
+    "subalgebra": (("pair", "members"), _subalgebra_transport),
+    "coproduct": (
+        ("pair", "algebra"),
+        lambda a: transport_coproduct(
+            _load_algebra(a.algebra, CoproductAlgebra), [_load_pair(p) for p in a.pair]
+        ),
+    ),
+    "exponential": (
+        ("pair", "algebra"),
+        lambda a: transport_exponential(
+            _load_algebra(a.algebra, ExponentialAlgebra), _load_pair(a.pair[0])
+        ),
+    ),
+}
+
+
+def _run_kind(args, table):
+    """Run ``table[args.kind]`` once its options are all given."""
+    needs, run = table[args.kind]
+    missing = [o for o in needs if getattr(args, o) is None]
+    if missing:
+        raise ParseError(f"{args.cmd} {args.kind} needs --" + " and --".join(missing))
+    return run(args)
 
 
 def cmd_verify(args) -> int:
@@ -109,7 +161,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     P = ser.poset_from_obj(ser.load_file(args.poset))
-    found = search_pair(P, _parse_cap(args.cap), _budget(args))
+    found = search_pair(P, _parse_cap(args.cap), args.budget)
     if found is None:
         _emit("null\n", args.output)
         return EXIT_INVALID
@@ -120,78 +172,22 @@ def cmd_search(args) -> int:
 def cmd_frontier(args) -> int:
     P = ser.poset_from_obj(ser.load_file(args.poset))
     try:
-        fr = frontier(P, _budget(args), workers=args.workers)
-    except BudgetExceeded as e:
-        rows = "".join(f"{a},{b}\n" for a, b in (e.partial or ()))
-        _emit(rows + f"# inconclusive: {e}\n", args.output)
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SIZE
+        fr = frontier(P, args.budget, workers=args.workers)
+    except BudgetExceeded as e:  # the confirmed rows still go out
+        _emit(ser.frontier_to_csv(Frontier(e.partial), e), args.output)
+        raise
     _emit(ser.frontier_to_csv(fr), args.output)
     return EXIT_OK
 
 
-# the options each construction or transport cannot do without
-_NEEDS = {
-    ("construct", "powerset"): ("atoms",),
-    ("construct", "interval"): ("n",),
-    ("construct", "tree"): ("lam", "kap"),
-    ("construct", "subalgebra"): ("ambient", "gens"),
-    ("construct", "exponential"): ("base",),
-    ("transport", "retract"): ("pair", "section", "retraction"),
-    ("transport", "subalgebra"): ("pair", "members"),
-    ("transport", "coproduct"): ("pair", "algebra"),
-    ("transport", "exponential"): ("pair", "algebra"),
-}
-
-
-# the least value each size option accepts, in every command that has it
-_SIZE_LEAST = {"n": 0, "atoms": 0, "lam": 0, "kap": 1}
-
-
 def cmd_construct(args) -> int:
-    if args.kind == "coproduct" and not args.cofactor and args.atoms_list is None:
-        raise ParseError("construct coproduct needs --cofactor or --atoms-list")
-    if args.kind == "powerset":
-        A = powerset_algebra(args.atoms)
-    elif args.kind == "interval":
-        A = interval_algebra(args.n)
-    elif args.kind == "tree":
-        A = tree_algebra(args.lam, args.kap)
-    elif args.kind == "subalgebra":
-        ambient = _load_algebra(args.ambient, BooleanAlgebra)
-        A = generated_subalgebra(ambient, _parse_ints(args.gens))
-    elif args.kind == "coproduct":
-        if args.cofactor:
-            parts = [_load_algebra(p, BooleanAlgebra) for p in args.cofactor]
-        else:
-            parts = [powerset_algebra(k) for k in _parse_ints(args.atoms_list)]
-        A = coproduct(parts)
-    elif args.kind == "exponential":
-        A = exponential(_load_algebra(args.base, BooleanAlgebra))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown construction {args.kind}")
-    _emit(ser.dumps(ser.algebra_to_obj(A)), args.output)
+    _emit(ser.dumps(ser.algebra_to_obj(_run_kind(args, _CONSTRUCT))), args.output)
     return EXIT_OK
 
 
 def cmd_transport(args) -> int:
     try:
-        if args.kind == "retract":
-            pair = _load_pair(args.pair[0])
-            i = ser.map_from_obj(ser.load_file(args.section))
-            j = ser.map_from_obj(ser.load_file(args.retraction))
-            out = transport_retract(pair, i, j)
-        elif args.kind == "subalgebra":
-            pair = _load_pair(args.pair[0])
-            view = SubsetView(pair.poset, frozenset(_parse_ints(args.members)))
-            out, _ = transport_subalgebra(pair, view)
-        elif args.kind == "coproduct":
-            C = _load_algebra(args.algebra, CoproductAlgebra)
-            pairs = [_load_pair(p) for p in args.pair]
-            out = transport_coproduct(C, pairs)
-        else:
-            E = _load_algebra(args.algebra, ExponentialAlgebra)
-            out = transport_exponential(E, _load_pair(args.pair[0]))
+        out = _run_kind(args, _TRANSPORT)
     except TransportDefect as e:
         print(ser.dumps(ser.verdict_to_obj(e.verdict)), file=sys.stderr, end="")
         print("error: transport output failed verification", file=sys.stderr)
@@ -214,8 +210,7 @@ def cmd_oracle(args) -> int:
         ok = brute_feasible(P, _parse_cap(args.cap))
         _emit(("true" if ok else "false") + "\n", args.output)
         return EXIT_OK if ok else EXIT_INVALID
-    points = brute_frontier(P)
-    _emit("".join(f"{a},{b}\n" for a, b in points), args.output)
+    _emit(ser.frontier_to_csv(Frontier(brute_frontier(P))), args.output)
     return EXIT_OK
 
 
@@ -238,33 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite laboratory for two-sided interpolation pairs",
     )
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for gen")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("verify", help="verify a pair file")
+    p = sub.add_parser("verify", parents=[out], help="verify a pair file")
     p.add_argument("pair")
     p.add_argument("--interpolants", action="store_true")
-    p.add_argument("-o", "--output")
     p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("search", help="search for a capacity-bounded pair")
+    p = sub.add_parser("search", parents=[out], help="search for a capacity-bounded pair")
     p.add_argument("poset")
     p.add_argument("--cap", required=True, help="a,b")
-    p.add_argument("--budget", type=int)
-    p.add_argument("-o", "--output")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(run=cmd_search)
 
-    p = sub.add_parser("frontier", help="Pareto frontier of feasible capacities")
+    p = sub.add_parser("frontier", parents=[out], help="Pareto frontier of feasible capacities")
     p.add_argument("poset")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("-o", "--output")
     p.set_defaults(run=cmd_frontier)
 
-    p = sub.add_parser("construct", help="build an algebra file")
-    p.add_argument(
-        "kind",
-        choices=["powerset", "interval", "tree", "subalgebra", "coproduct", "exponential"],
-    )
+    p = sub.add_parser("construct", parents=[out], help="build an algebra file")
+    p.add_argument("kind", choices=list(_CONSTRUCT))
     p.add_argument("--atoms", type=int, help="powerset atom count")
     p.add_argument("--n", type=int, help="interval chain length")
     p.add_argument("--lam", type=int, help="tree branching")
@@ -274,45 +265,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cofactor", action="append", help="algebra file (repeatable)")
     p.add_argument("--atoms-list", help="comma-separated powerset cofactor atom counts")
     p.add_argument("--base", help="algebra file for exponential")
-    p.add_argument("-o", "--output")
     p.set_defaults(run=cmd_construct)
 
-    p = sub.add_parser("transport", help="transport pairs along a construction")
-    p.add_argument("kind", choices=["retract", "subalgebra", "coproduct", "exponential"])
+    p = sub.add_parser("transport", parents=[out], help="transport pairs along a construction")
+    p.add_argument("kind", choices=list(_TRANSPORT))
     p.add_argument("--pair", action="append", help="pair file (repeatable for coproduct)")
     p.add_argument("--section", help="monotone map file i: P -> Q")
     p.add_argument("--retraction", help="monotone map file j: Q -> P")
     p.add_argument("--members", help="comma-separated subset elements")
     p.add_argument("--algebra", help="coproduct/exponential algebra file")
-    p.add_argument("-o", "--output")
     p.set_defaults(run=cmd_transport)
 
     p = sub.add_parser("oracle", help="brute-force references")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
-    q = osub.add_parser("count", help="count labeled posets")
+    q = osub.add_parser("count", parents=[out], help="count labeled posets")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("-o", "--output")
-    q = osub.add_parser("feasible", help="exhaustive feasibility decision")
+    q = osub.add_parser("feasible", parents=[out], help="exhaustive feasibility decision")
     q.add_argument("poset")
     q.add_argument("--cap", required=True)
-    q.add_argument("-o", "--output")
-    q = osub.add_parser("frontier", help="frontier from the brute boundary table")
+    q = osub.add_parser("frontier", parents=[out], help="frontier from the brute boundary table")
     q.add_argument("poset")
-    q.add_argument("-o", "--output")
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("gen", help="seeded random inputs")
     gsub = p.add_subparsers(dest="gen_cmd", required=True)
-    q = gsub.add_parser("poset")
+    q = gsub.add_parser("poset", parents=[out])
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--density", type=float, default=0.35)
     q.add_argument("--seed", type=int, dest="sub_seed", default=None)
-    q.add_argument("-o", "--output")
-    q = gsub.add_parser("pair")
+    q = gsub.add_parser("pair", parents=[out])
     q.add_argument("poset")
     q.add_argument("--enlarge", type=float, default=0.25)
     q.add_argument("--seed", type=int, dest="sub_seed", default=None)
-    q.add_argument("-o", "--output")
     p.set_defaults(run=cmd_gen)
 
     return ap
@@ -321,25 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        kind = getattr(args, "kind", None)
-        missing = [o for o in _NEEDS.get((args.cmd, kind), ()) if getattr(args, o) is None]
-        if missing:
-            raise ParseError(f"{args.cmd} {kind} needs --" + " and --".join(missing))
-        for name, least in _SIZE_LEAST.items():
-            value = getattr(args, name, None)
-            if value is not None and value < least:
-                raise ParseError(f"--{name} must be at least {least}")
         return args.run(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SizeExceeded, BudgetExceeded) as e:
+    except SizeExceeded as e:  # BudgetExceeded too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SIZE
-    except FnLabError as e:
+    except (FnLabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

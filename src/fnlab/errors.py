@@ -9,6 +9,11 @@ class FnLabError(Exception):
     """Base class for all fnlab errors."""
 
 
+class InvalidArgument(FnLabError, ValueError):
+    """An argument outside the domain of a library function (a negative
+    size, a capacity below 1, a generator outside the algebra)."""
+
+
 class NotReflexive(FnLabError):
     def __init__(self, x: int):
         self.x = x

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import (
     IndexOutOfRange,
+    InvalidArgument,
     MapNotTotal,
     NoWitness,
     NotComparable,
@@ -36,7 +37,7 @@ class CapacityPair(NamedTuple):
 
     def check(self) -> "CapacityPair":
         if self.a < 1 or self.b < 1:
-            raise ValueError("capacities must be at least 1")
+            raise InvalidArgument("capacities must be at least 1")
         return self
 
 

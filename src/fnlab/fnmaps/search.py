@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from ..errors import BudgetExceeded
+from ..errors import BudgetExceeded, InvalidArgument
 from ..poset import Poset, bits_of
 from .core import CapacityPair, FnPair
 
@@ -61,6 +61,8 @@ def search_pair(
     the node budget runs out, which is reported distinctly from ``None``.
     """
     a, b = CapacityPair(*cap).check()
+    if node_budget < 0:
+        raise InvalidArgument(f"node budget {node_budget} is negative")
     n = P.n
     if n == 0:
         return FnPair(P, (), ())
@@ -182,6 +184,8 @@ def frontier(
     When the budget runs out, the :class:`BudgetExceeded` carries the
     boundary points confirmed so far as ``partial``.
     """
+    if node_budget < 0:
+        raise InvalidArgument(f"node budget {node_budget} is negative")
     if P.n == 0:
         return Frontier(((1, 1),))
     betas: dict[int, int] = {}

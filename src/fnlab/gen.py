@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import InvalidArgument
 from .fnmaps.core import FnPair, trivial_pair, wellorder_map
 from .poset import MonotoneMap, Poset, SubsetView, check_poset_size, poset_from_covers
 
@@ -71,7 +72,7 @@ def random_retraction(
     elements randomly, and return ``Q`` with the section ``i: P -> Q`` and
     retraction ``j: Q -> P``."""
     if P.n == 0:
-        raise ValueError("cannot blow up the empty poset")
+        raise InvalidArgument("cannot blow up the empty poset")
     extra = max(0, max_total - P.n)
     sizes = [1] * P.n
     for _ in range(extra):

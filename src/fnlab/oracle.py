@@ -21,7 +21,7 @@ from itertools import combinations, groupby, permutations, product
 from .boolalg import CoproductAlgebra
 from .errors import FnLabError, SizeExceeded
 from .fnmaps.core import CapacityPair
-from .poset import Poset, SubsetView, _poset_from_up_rows, bits_of
+from .poset import Poset, SubsetView, _poset_from_up_rows, bits_of, check_poset_size
 
 ORACLE_MAX_ELEMENTS = 5
 ORACLE_CELL_BUDGET = 2**24
@@ -73,6 +73,7 @@ def enumerate_posets(n: int, max_size: int = ORACLE_MAX_ELEMENTS):
     """
     if n > max_size:
         raise SizeExceeded(f"refusing to enumerate posets on {n} > {max_size} elements")
+    check_poset_size(n)
     pairs = list(combinations(range(n), 2))
     for states in product((0, 1, 2), repeat=len(pairs)):
         rows = [1 << x for x in range(n)]

@@ -3,8 +3,7 @@
 Elements are dense integer indices ``0..n-1``; the relation is stored as the
 full reflexive-transitive closure, one bitmask row per element, so that
 ``leq`` queries, interval masks and down/up sets are O(1) word operations.
-Labels are decorative only. All values are immutable after validation and
-safe to share across workers.
+Labels are decorative only. All values are immutable after validation.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DomainMismatch,
     IndexOutOfRange,
+    InvalidArgument,
     NotAntisymmetric,
     NotMonotone,
     NotReflexive,
@@ -29,7 +29,7 @@ def check_poset_size(n: int) -> None:
     """Refuse a poset of ``n`` elements: negative, or above ``MAX_ELEMENTS``
     (every materialized order obeys this cap)."""
     if n < 0:
-        raise ValueError(f"poset size {n} is negative")
+        raise InvalidArgument(f"poset size {n} is negative")
     if n > MAX_ELEMENTS:
         raise SizeExceeded(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
 
@@ -118,7 +118,7 @@ def validate_poset(
     rows = []
     for row in matrix:
         if len(row) != n:
-            raise ValueError("relation matrix must be square")
+            raise InvalidArgument("relation matrix must be square")
         rows.append(mask_of(i for i, v in enumerate(row) if v))
     return _poset_from_up_rows(n, rows, labels)
 
@@ -145,7 +145,7 @@ def _poset_from_up_rows(n: int, rows: list[int], labels=None) -> Poset:
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
-            raise ValueError("labels must match element count")
+            raise InvalidArgument("labels must match element count")
     return Poset(n, tuple(rows), tuple(down), labels)
 
 
@@ -199,7 +199,7 @@ class MonotoneMap:
 
     def __post_init__(self):
         if len(self.image) != self.dom.n:
-            raise ValueError("image must assign every element of the domain")
+            raise InvalidArgument("image must assign every element of the domain")
         for v in self.image:
             self.cod.check_index(v)
         for p in range(self.dom.n):

@@ -113,7 +113,11 @@ def loads(text: str):
 
 
 def load_file(path):
-    return loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return loads(text)
 
 
 # ---------------------------------------------------------------- posets
@@ -133,11 +137,9 @@ def poset_from_obj(obj) -> Poset:
         _plain_ints(c) and len(c) == 2 for c in covers
     ):
         raise ParseError("poset needs an integer 'n' and [lo, hi] integer covers")
-    if n < 0:
-        raise ParseError("poset 'n' must be at least 0")
     labels = obj.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
-        raise ParseError("poset 'labels' must name each of the n elements")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError("poset 'labels' must be a list")
     return poset_from_covers(n, [tuple(c) for c in covers], labels)
 
 
@@ -231,15 +233,18 @@ def map_from_obj(obj) -> MonotoneMap:
     if not isinstance(obj, dict) or not {"dom", "cod", "image"} <= set(obj):
         raise ParseError("map object needs 'dom', 'cod' and 'image' fields")
     dom, cod, image = poset_from_obj(obj["dom"]), poset_from_obj(obj["cod"]), obj["image"]
-    if not _plain_ints(image) or len(image) != dom.n:
-        raise ParseError("map 'image' must list one integer per domain element")
+    if not _plain_ints(image):
+        raise ParseError("map 'image' must be a list of integers")
     return MonotoneMap(dom, cod, tuple(image))
 
 
 # -------------------------------------------------------------- frontiers
 
-def frontier_to_csv(fr: Frontier) -> str:
-    return "".join(f"{a},{b}\n" for a, b in fr.points)
+def frontier_to_csv(fr: Frontier, inconclusive: Exception | None = None) -> str:
+    """One ``a,b`` row per point; a walk cut short by ``inconclusive`` ends
+    with a ``# inconclusive`` marker line."""
+    rows = "".join(f"{a},{b}\n" for a, b in fr.points)
+    return rows if inconclusive is None else rows + f"# inconclusive: {inconclusive}\n"
 
 
 def frontier_from_csv(text: str) -> Frontier:

@@ -285,9 +285,8 @@ SRC_ROOT = Path(fnlab.__file__).resolve().parents[1]
 
 
 def _run(args, cwd):
-    """Run the CLI on the imported ``fnlab`` at the default node budget."""
+    """Run the CLI on the imported ``fnlab``."""
     env = dict(os.environ)
-    env.pop("FNLAB_NODE_BUDGET", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fnlab", *args],

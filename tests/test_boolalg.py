@@ -1,12 +1,15 @@
+import ast
 import inspect
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fnlab
 from fnlab import boolalg, poset
 from fnlab.boolalg import (
     ALGEBRA_CAP,
@@ -481,4 +484,20 @@ def test_no_cap_parameters():
                 if callable(fn):
                     params = inspect.signature(fn).parameters
                     found += [(qualname, p) for p in ("max_size", "max_base") if p in params]
+    assert found == []
+
+
+def test_no_bare_value_errors():
+    """The library reports a bad argument as ``InvalidArgument``, which the
+    CLI maps to exit 2, never as a bare ``ValueError``."""
+    root = Path(fnlab.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "ValueError"
+    ]
     assert found == []

@@ -47,6 +47,35 @@ def invalid_pair_file(tmp_path):
     return write(tmp_path / "bad_pair.json", ser.dumps(ser.pair_to_obj(pair)))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "subalgebra", "--ambient", "{p3}", "--gens", "99"],
+        ["construct", "subalgebra", "--ambient", "{p3}", "--gens", "-1"],
+        ["construct", "coproduct", "--atoms-list", ","],
+        ["construct", "coproduct", "--atoms-list=-1,2"],
+        ["verify", "{dir}"],
+        ["verify", "{dir_pair}"],  # a pair whose "poset" path is a directory
+        ["verify", "{latin1}"],
+        ["search", "{diamond}", "--cap", "2,2", "--budget", "-1"],
+        ["frontier", "{diamond}", "--budget", "-1"],
+    ],
+)
+def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):
+    """Library argument errors and unreadable files: exit 2, one line."""
+    (tmp_path / "dir").mkdir()
+    files = {
+        "p3": write(tmp_path / "p3.json", ser.dumps(ser.algebra_to_obj(powerset_algebra(3)))),
+        "dir": str(tmp_path / "dir"),
+        "dir_pair": write(tmp_path / "dp.json", '{"poset": "dir", "f": [], "g": []}'),
+        "latin1": str(tmp_path / "l.json"),
+        "diamond": diamond_file,
+    }
+    (tmp_path / "l.json").write_bytes('{"n": 1, "labels": ["\xe9"]}'.encode("latin-1"))
+    assert main([a.format(**files) for a in args]) == 2
+    assert assert_one_error_line(capsys) == ""
+
+
 class TestVerify:
     def test_valid_exit_zero(self, valid_pair_file, capsys):
         assert main(["verify", valid_pair_file]) == 0
@@ -105,10 +134,6 @@ class TestSearch:
 
     def test_budget_exit_three(self, diamond_file):
         assert main(["search", diamond_file, "--cap", "2,2", "--budget", "2"]) == 3
-
-    def test_env_budget(self, diamond_file, monkeypatch):
-        monkeypatch.setenv("FNLAB_NODE_BUDGET", "2")
-        assert main(["search", diamond_file, "--cap", "2,2"]) == 3
 
     def test_bad_cap_exit_two(self, diamond_file):
         assert main(["search", diamond_file, "--cap", "2"]) == 2
@@ -491,7 +516,6 @@ def run_child(args, prelude="pass", memory=None, timeout=60):
     env = dict(os.environ)
     src_root = str(Path(fnlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
-    env.pop("FNLAB_NODE_BUDGET", None)
     code = f"import sys; {prelude}; from fnlab.cli import main; raise SystemExit(main(sys.argv[1:]))"
     limit = None
     if memory is not None:
