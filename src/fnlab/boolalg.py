@@ -158,6 +158,8 @@ class BooleanAlgebra:
 
     def element_index(self, mask: int) -> int:
         if self.carrier is None:
+            if mask >> self.k:  # negative masks too
+                raise InvalidArgument(f"mask {mask} is not an element of the algebra")
             return mask
         import bisect
 
@@ -243,10 +245,7 @@ def generated_subalgebra(B: BooleanAlgebra, gens) -> BooleanAlgebra:
     """Least subalgebra of ``B`` containing ``gens`` (and 0, 1)."""
     gens = sorted(set(gens))
     for x in gens:
-        if B.carrier is not None:
-            B.element_index(x)  # membership check
-        elif x >> B.k:
-            raise InvalidArgument(f"generator {x} does not fit {B.k} atoms")
+        B.element_index(x)  # membership check
     carrier = subalgebra_masks(B.k, gens)
     return BooleanAlgebra(
         B.k,
@@ -461,10 +460,13 @@ class ExponentialAlgebra:
     """Powerset algebra over the nonzero elements of a base algebra.
 
     Points stand in for the filters of the base (all principal in the finite
-    case); ``bracket(a)`` collects the points below ``a``.  The defining
-    relations are checked at construction: ``[0] = 0``, ``[1] = 1``,
-    monotone brackets, and ``[a ∧ b] = [a] ∧ [b]``.  Joins are only
-    subadditive: ``[a] ∨ [b] <= [a ∨ b]`` with strictness in general.
+    case); ``bracket(a)`` collects the points below ``a``.  The points are
+    the base's nonzero elements in index order, so the bracket of base
+    element ``i`` is row ``i`` of the base's down order without its bit 0
+    (the zero element): ``brackets[i]``.  The defining relations are checked
+    at construction: ``[0] = 0``, ``[1] = 1``, monotone brackets, and
+    ``[a ∧ b] = [a] ∧ [b]``.  Joins are only subadditive:
+    ``[a] ∨ [b] <= [a ∨ b]`` with strictness in general.
     """
 
     def __init__(self, base: BooleanAlgebra):
@@ -474,36 +476,32 @@ class ExponentialAlgebra:
         )
         self.base = base
         self.points = tuple(x for x in base.elements() if x != 0)
+        self.brackets = tuple(row >> 1 for row in base.as_poset().down)
         self._check_relations()
 
     def bracket(self, a: int) -> int:
         """The hyperspace element ``[a]``: points ``b != 0`` with ``b <= a``."""
-        out = 0
-        for t, p in enumerate(self.points):
-            if p & ~a == 0:
-                out |= 1 << t
-        return out
+        return self.brackets[self.base.element_index(a)]
 
     def _check_relations(self):
-        if self.bracket(0) != 0:
+        if self.brackets[0] != 0:
             raise RelationViolation("[0] must be 0")
-        if self.bracket(self.base.one) != self.algebra.one:
+        if self.brackets[-1] != self.algebra.one:
             raise RelationViolation("[1] must be 1")
-        elems = list(self.base.elements())
-        brackets = {a: self.bracket(a) for a in elems}
-        for a in elems:
-            for b in elems:
-                if brackets[a & b] != brackets[a] & brackets[b]:
+        brackets = dict(zip(self.base.elements(), self.brackets))
+        for a, ba in brackets.items():
+            for b, bb in brackets.items():
+                if brackets[a & b] != ba & bb:
                     raise RelationViolation(f"[a ∧ b] != [a] ∧ [b] at {a}, {b}")
-                if a & ~b == 0 and brackets[a] & ~brackets[b]:
+                if a & ~b == 0 and ba & ~bb:
                     raise RelationViolation(f"brackets not monotone at {a} <= {b}")
 
     def join_strictness_witness(self) -> tuple[int, int] | None:
         """Least base pair with ``[a] ∨ [b]`` strictly below ``[a ∨ b]``."""
-        elems = list(self.base.elements())
-        for a in elems:
-            for b in elems:
-                if self.bracket(a) | self.bracket(b) != self.bracket(a | b):
+        brackets = dict(zip(self.base.elements(), self.brackets))
+        for a, ba in brackets.items():
+            for b, bb in brackets.items():
+                if ba | bb != brackets[a | b]:
                     return (a, b)
         return None
 

@@ -97,8 +97,15 @@ def _coproduct_parts(args) -> list:
     raise ParseError("construct coproduct needs --cofactor or --atoms-list")
 
 
+def _one_pair(args):
+    """The pair of a transport that takes one."""
+    if len(args.pair) > 1:
+        raise ParseError(f"transport {args.kind} takes one --pair")
+    return _load_pair(args.pair[0])
+
+
 def _subalgebra_transport(args):
-    pair = _load_pair(args.pair[0])
+    pair = _one_pair(args)
     view = SubsetView(pair.poset, frozenset(_parse_ints(args.members)))
     return transport_subalgebra(pair, view)[0]
 
@@ -123,7 +130,7 @@ _TRANSPORT = {
     "retract": (
         ("pair", "section", "retraction"),
         lambda a: transport_retract(
-            _load_pair(a.pair[0]),
+            _one_pair(a),
             ser.map_from_obj(ser.load_file(a.section)),
             ser.map_from_obj(ser.load_file(a.retraction)),
         ),
@@ -138,7 +145,7 @@ _TRANSPORT = {
     "exponential": (
         ("pair", "algebra"),
         lambda a: transport_exponential(
-            _load_algebra(a.algebra, ExponentialAlgebra), _load_pair(a.pair[0])
+            _load_algebra(a.algebra, ExponentialAlgebra), _one_pair(a)
         ),
     ),
 }

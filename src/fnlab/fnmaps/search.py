@@ -180,12 +180,15 @@ def frontier(
     Feasibility is monotone in both capacities and symmetric under swapping
     them, so the walk only descends the boundary for ``a`` up to the
     diagonal and mirrors the result.  The walk is sequential; ``workers``
-    is accepted for compatibility and every value gives the same result.
+    is accepted for compatibility and every positive value gives the same
+    result.
     When the budget runs out, the :class:`BudgetExceeded` carries the
     boundary points confirmed so far as ``partial``.
     """
     if node_budget < 0:
         raise InvalidArgument(f"node budget {node_budget} is negative")
+    if workers < 1:
+        raise InvalidArgument(f"worker count {workers} is below 1")
     if P.n == 0:
         return Frontier(((1, 1),))
     betas: dict[int, int] = {}

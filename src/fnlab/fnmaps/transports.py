@@ -162,63 +162,38 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     return _checked(FnPair(base_poset, tuple(F), tuple(G)))
 
 
-def _bracket_literal_indices(E: ExponentialAlgebra, pointmask: int) -> set[int]:
-    """Base elements indexing the literals of the canonical conjunct of each
-    point in ``pointmask``.
-
-    A point ``b`` is the basic set of its base-algebra atoms: the conjunct
-    of ``[b]`` with the negated brackets of the atom complements.  Literals
-    equal to 0 or 1 of the hyperspace are dropped.
-    """
-    out: set[int] = set()
-    base = E.base
-    atoms = base.atoms()
-    for t in bits_of(pointmask):
-        b = E.points[t]
-        if b != base.one:
-            out.add(b)
-        for atom in atoms:
-            if atom & ~b == 0:
-                comp = base.complement(atom)
-                if comp != 0:
-                    out.add(comp)
-    return out
-
-
 def transport_exponential(E: ExponentialAlgebra, pair: FnPair) -> FnPair:
     """Lift a valid pair on the base algebra to its exponential.
 
-    Each hyperspace element is rewritten over bracket literals; the finite
-    base subalgebra generated by the literal indices is pushed through the
-    input maps, bracketed, and closed into generated subalgebras of the
-    exponential.  The three-case interpolant argument guarantees validity,
-    which is checked at the end rather than re-derived.
+    Each hyperspace element is rewritten over bracket literals; the base
+    subalgebra its literals generate is pushed through the input maps,
+    bracketed, and closed into generated subalgebras of the exponential.
+    There are only two literal sets, so each map has two images.  The
+    three-case interpolant argument guarantees validity, which is checked
+    at the end rather than re-derived.
     """
-    base_poset = E.base.as_poset()
-    if pair.poset != base_poset:
+    base = E.base
+    if pair.poset != base.as_poset():
         raise DomainMismatch("pair must live on the base algebra's element order")
     _require_valid(pair, "exponential input")
     exp_poset = E.algebra.as_poset()
-    n = exp_poset.n
-    full = E.algebra.one
-    bracket_cache = {h: E.bracket(h) for h in E.base.elements()}
-    F = []
-    G = []
-    for x in range(n):
-        if x == 0 or x == full:
-            idx: set[int] = set()
-        else:
-            idx = _bracket_literal_indices(E, x) | _bracket_literal_indices(E, full ^ x)
-        H = subalgebra_masks(E.base.k, sorted(idx))
-        fgen: set[int] = set()
-        ggen: set[int] = set()
-        for h in H:
-            hi = E.base.element_index(h)
-            for d in bits_of(pair.f[hi]):
-                fgen.add(bracket_cache[E.base.element_mask(d)])
-            for d in bits_of(pair.g[hi]):
-                ggen.add(bracket_cache[E.base.element_mask(d)])
-        # exponential poset index == element mask
-        F.append(subalgebra_index_mask(len(E.points), frozenset(fgen)))
-        G.append(subalgebra_index_mask(len(E.points), frozenset(ggen)))
-    return _checked(FnPair(exp_poset, tuple(F), tuple(G)))
+    # 0 and 1 have no literals.  Every other x takes the literals of the
+    # points in x and of the points in its complement, which together are
+    # all the points.  A point b has the literals b (unless b is 1) and the
+    # complements of the atoms below b (unless 0), so the literals of x are
+    # every base element other than 0 and 1.
+    images = []
+    for lits in ((), [b for b in base.elements() if b not in (0, base.one)]):
+        H = [base.element_index(h) for h in subalgebra_masks(base.k, lits)]
+        images.append([
+            subalgebra_index_mask(
+                len(E.points), frozenset(E.brackets[d] for h in H for d in bits_of(m[h]))
+            )
+            for m in (pair.f, pair.g)
+        ])
+    (f_end, g_end), (f_mid, g_mid) = images
+    ends = (0, E.algebra.one)
+    # exponential poset index == element mask
+    F = tuple(f_end if x in ends else f_mid for x in range(exp_poset.n))
+    G = tuple(g_end if x in ends else g_mid for x in range(exp_poset.n))
+    return _checked(FnPair(exp_poset, F, G))

@@ -63,7 +63,7 @@ def reference_valid_single(P: Poset, h) -> bool:
     return True
 
 
-def enumerate_posets(n: int, max_size: int = ORACLE_MAX_ELEMENTS):
+def enumerate_posets(n: int):
     """All labeled posets on ``n`` elements, in a fixed enumeration order.
 
     Reflexivity and antisymmetry are built in by choosing one of three
@@ -71,8 +71,8 @@ def enumerate_posets(n: int, max_size: int = ORACLE_MAX_ELEMENTS):
     filtered by a direct scan.  Enumeration is labeled, not
     up-to-isomorphism.
     """
-    if n > max_size:
-        raise SizeExceeded(f"refusing to enumerate posets on {n} > {max_size} elements")
+    if n > ORACLE_MAX_ELEMENTS:
+        raise SizeExceeded(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {n}")
     check_poset_size(n)
     pairs = list(combinations(range(n), 2))
     for states in product((0, 1, 2), repeat=len(pairs)):
@@ -135,7 +135,7 @@ def _canonical_rows(P: Poset) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _needed_g_table(rows: tuple[int, ...], a: int, cell_budget: int) -> int:
+def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     """Smallest worst-case ``g`` image size over all exact-``a`` choices of
     ``f`` on the poset with up-rows ``rows`` (a key from
     :func:`_canonical_rows`), by exhaustive tensor enumeration; 127 when no
@@ -157,7 +157,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int, cell_budget: int) -> int:
     P = _poset_from_up_rows(n, list(rows))
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
     K = len(cands[0]) if n else 1
-    if K**n > cell_budget:
+    if K**n > ORACLE_CELL_BUDGET:
         raise SizeExceeded(f"oracle tensor would need {K}**{n} cells")
     INF = 127
     subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
@@ -193,19 +193,14 @@ def _needed_g_table(rows: tuple[int, ...], a: int, cell_budget: int) -> int:
     return int(joint.min())
 
 
-def brute_feasible(
-    P: Poset,
-    cap: CapacityPair | tuple[int, int],
-    max_size: int = ORACLE_MAX_ELEMENTS,
-    cell_budget: int = ORACLE_CELL_BUDGET,
-) -> bool:
+def brute_feasible(P: Poset, cap: CapacityPair | tuple[int, int]) -> bool:
     """Exhaustive feasibility decision for capacities ``(a, b)``."""
     a, b = CapacityPair(*cap).check()
-    if P.n > max_size:
-        raise SizeExceeded(f"oracle capped at {max_size} elements, got {P.n}")
+    if P.n > ORACLE_MAX_ELEMENTS:
+        raise SizeExceeded(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {P.n}")
     if P.n == 0:
         return True
-    return _needed_g_table(_canonical_rows(P), min(a, P.n), cell_budget) <= b
+    return _needed_g_table(_canonical_rows(P), min(a, P.n)) <= b
 
 
 def brute_frontier(P: Poset, max_size: int = ORACLE_MAX_ELEMENTS):
@@ -215,7 +210,7 @@ def brute_frontier(P: Poset, max_size: int = ORACLE_MAX_ELEMENTS):
     if P.n == 0:
         return ((1, 1),)
     rows = _canonical_rows(P)
-    betas = {a: _needed_g_table(rows, a, ORACLE_CELL_BUDGET) for a in range(1, P.n + 1)}
+    betas = {a: _needed_g_table(rows, a) for a in range(1, P.n + 1)}
     points = []
     prev = None
     for a in sorted(betas):
@@ -225,14 +220,14 @@ def brute_frontier(P: Poset, max_size: int = ORACLE_MAX_ELEMENTS):
     return tuple(sorted({(b, a) for a, b in points} | set(points)))
 
 
-def brute_pair_product_feasible(P: Poset, cap, max_size: int = 3) -> bool:
+def brute_pair_product_feasible(P: Poset, cap) -> bool:
     """Literal joint enumeration of all exact-size ``(f, g)`` assignments,
     each checked by the naive verifier.  Tiny posets only; exists to certify
     the decomposed oracle."""
     a, b = CapacityPair(*cap).check()
     n = P.n
-    if n > max_size:
-        raise SizeExceeded(f"joint enumeration capped at {max_size} elements")
+    if n > 3:
+        raise SizeExceeded("joint enumeration capped at 3 elements")
     if n == 0:
         return True
     fchoices = [_exact_size_choices(n, x, min(a, n)) for x in range(n)]
@@ -269,7 +264,7 @@ def brute_cofactor_minmax(C: CoproductAlgebra, j: int, x: int) -> tuple[int | No
     return (least[0] if least else None, greatest[0] if greatest else None)
 
 
-def fixpoint_subalgebra(k: int, gens, max_size: int = 2**16) -> frozenset[int]:
+def fixpoint_subalgebra(k: int, gens) -> frozenset[int]:
     """Naive worklist closure of ``gens ∪ {0, 1}`` under meet, join and
     complement inside the ``k``-atom powerset; the reference for the
     partition-based construction."""
@@ -288,6 +283,6 @@ def fixpoint_subalgebra(k: int, gens, max_size: int = 2**16) -> frozenset[int]:
                     if z not in elems:
                         elems.add(z)
                         work = True
-            if len(elems) > max_size:
+            if len(elems) > 2**16:
                 raise SizeExceeded("fixpoint closure exceeded cap")
     return frozenset(elems)

@@ -207,16 +207,29 @@ def verdict_to_obj(v: Verdict) -> dict:
 
 
 def verdict_from_obj(obj) -> Verdict:
+    if not isinstance(obj, dict) or type(obj.get("valid")) is not bool:
+        raise ParseError("verdict object needs a boolean 'valid' field")
     violation = None
     if obj.get("violation") is not None:
-        v = obj["violation"]
-        violation = (v["p"], v["q"], v["clause"])
+        violation = _record(obj["violation"], ("p", "q", "clause"))
     inter = None
     if obj.get("interpolants") is not None:
-        inter = {
-            (rec["p"], rec["q"]): (rec["r"], rec["s"]) for rec in obj["interpolants"]
-        }
+        records = obj["interpolants"]
+        if not isinstance(records, list):
+            raise ParseError("verdict 'interpolants' must be a list")
+        inter = {}
+        for rec in records:
+            p, q, r, s = _record(rec, ("p", "q", "r", "s"))
+            inter[p, q] = (r, s)
     return Verdict(obj["valid"], violation, inter)
+
+
+def _record(rec, fields) -> tuple[int, ...]:
+    """The ``fields`` of a verdict record, each a plain int."""
+    values = [rec.get(f) for f in fields] if isinstance(rec, dict) else None
+    if not _plain_ints(values):
+        raise ParseError("verdict records need integer fields " + ", ".join(fields))
+    return tuple(values)
 
 
 # -------------------------------------------------------------- monotone maps
@@ -256,7 +269,10 @@ def frontier_from_csv(text: str) -> Frontier:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError("frontier rows must be 'a,b'", lineno, 1)
-        points.append((int(parts[0]), int(parts[1])))
+        try:
+            points.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError("frontier rows must be two integers", lineno, 1) from None
     return Frontier(tuple(sorted(points)))
 
 

@@ -29,7 +29,7 @@ from fnlab.boolalg import (
     tree_algebra,
     tree_nodes,
 )
-from fnlab.errors import DegenerateCofactor, SizeExceeded, ZeroMember
+from fnlab.errors import DegenerateCofactor, InvalidArgument, SizeExceeded, ZeroMember
 from fnlab.oracle import fixpoint_subalgebra
 from fnlab.poset import Poset, diamond
 
@@ -327,6 +327,18 @@ class TestExponential:
     def test_base_cap(self):
         with pytest.raises(SizeExceeded):
             exponential(powerset_algebra(5))  # 2^31 elements > ALGEBRA_CAP
+
+    @pytest.mark.parametrize(
+        "base, mask",
+        [
+            (powerset_algebra(2), 4),  # past the atoms
+            (powerset_algebra(2), -1),
+            (generated_subalgebra(powerset_algebra(3), [0b011]), 0b001),  # not in the carrier
+        ],
+    )
+    def test_bracket_of_non_element(self, base, mask):
+        with pytest.raises(InvalidArgument):
+            exponential(base).bracket(mask)
 
     def test_carrier_base(self):
         A = generated_subalgebra(powerset_algebra(3), [0b011])

@@ -14,7 +14,8 @@ import fnlab
 from fnlab import serialize as ser
 from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.cli import main
-from fnlab.fnmaps import FnPair, trivial_pair
+from fnlab.errors import TransportDefect
+from fnlab.fnmaps import FnPair, Verdict, trivial_pair
 from fnlab.poset import MonotoneMap, chain, diamond
 
 
@@ -59,17 +60,38 @@ def invalid_pair_file(tmp_path):
         ["verify", "{latin1}"],
         ["search", "{diamond}", "--cap", "2,2", "--budget", "-1"],
         ["frontier", "{diamond}", "--budget", "-1"],
+        ["frontier", "{diamond}", "--workers", "-3"],
+        ["frontier", "{diamond}", "--workers", "0"],
+        ["frontier", "{cover_past_n}"],
+        ["frontier", "{text_labels}"],
+        ["construct", "exponential", "--base", "{empty}"],
+        ["transport", "retract", "--pair", "{pair}", "--section", "{no_image}",
+         "--retraction", "{identity}"],
+        # a second --pair, which the one-pair transports refuse
+        ["transport", "retract", "--pair", "{pair}", "--pair", "{pair}",
+         "--section", "{identity}", "--retraction", "{identity}"],
+        ["transport", "subalgebra", "--pair", "{pair}", "--pair", "{pair}", "--members", "0,3"],
+        ["transport", "exponential", "--algebra", "{e2}", "--pair", "{pair}", "--pair", "{pair}"],
     ],
 )
 def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):
     """Library argument errors and unreadable files: exit 2, one line."""
     (tmp_path / "dir").mkdir()
+    identity = ser.map_to_obj(MonotoneMap(diamond(), diamond(), (0, 1, 2, 3)))
+    d, e2 = identity["dom"], exponential(powerset_algebra(2))
     files = {
         "p3": write(tmp_path / "p3.json", ser.dumps(ser.algebra_to_obj(powerset_algebra(3)))),
         "dir": str(tmp_path / "dir"),
         "dir_pair": write(tmp_path / "dp.json", '{"poset": "dir", "f": [], "g": []}'),
         "latin1": str(tmp_path / "l.json"),
         "diamond": diamond_file,
+        "cover_past_n": write(tmp_path / "c.json", '{"n": 2, "covers": [[0, 5]]}'),
+        "text_labels": write(tmp_path / "t.json", '{"n": 2, "labels": "ab"}'),
+        "empty": write(tmp_path / "e.json", "{}"),
+        "pair": write(tmp_path / "pr.json", ser.dumps(ser.pair_to_obj(trivial_pair(diamond())))),
+        "identity": write(tmp_path / "id.json", ser.dumps(identity)),
+        "no_image": write(tmp_path / "ni.json", json.dumps({"dom": d, "cod": d})),
+        "e2": write(tmp_path / "e2.json", ser.dumps(ser.algebra_to_obj(e2))),
     }
     (tmp_path / "l.json").write_bytes('{"n": 1, "labels": ["\xe9"]}'.encode("latin-1"))
     assert main([a.format(**files) for a in args]) == 2
@@ -395,6 +417,22 @@ class TestTransport:
 
     def test_missing_pair_exit_two(self):
         assert main(["transport", "retract"]) == 2
+
+    def test_defect_exit_four(self, tmp_path, valid_pair_file, capsys, monkeypatch):
+        def defective(pair, i, j):
+            raise TransportDefect(Verdict(False, (0, 1, 1)))
+
+        monkeypatch.setattr("fnlab.cli.transport_retract", defective)
+        m = ser.map_to_obj(MonotoneMap(diamond(), diamond(), (0, 1, 2, 3)))
+        m_f = write(tmp_path / "id.json", ser.dumps(m))
+        rc = main(
+            ["transport", "retract", "--pair", valid_pair_file, "--section", m_f,
+             "--retraction", m_f]
+        )
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        verdict = ser.dumps(ser.verdict_to_obj(Verdict(False, (0, 1, 1))))
+        assert captured.err == verdict + "error: transport output failed verification\n"
 
     @pytest.mark.parametrize("kind", ["retract", "subalgebra", "coproduct", "exponential"])
     def test_missing_option_exit_two(self, valid_pair_file, capsys, kind):

@@ -63,6 +63,31 @@ class TestVerdictRoundTrip:
         assert back == Verdict(False, (0, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],  # not a dict
+        None,
+        {},  # no 'valid'
+        {"valid": 1},  # 'valid' is not a bool
+        {"valid": "true"},
+        {"valid": False, "violation": {"p": 0, "q": 1}},  # no 'clause'
+        {"valid": False, "violation": {"p": 0, "clause": 1}},  # no 'q'
+        {"valid": False, "violation": [0, 1, 1]},  # not a record
+        {"valid": False, "violation": {"p": 0, "q": 1, "clause": "1"}},
+        {"valid": False, "violation": {"p": 0, "q": True, "clause": 1}},
+        {"valid": True, "interpolants": [{"p": 0, "q": 1, "r": 1}]},  # no 's'
+        {"valid": True, "interpolants": [{"q": 1, "r": 1, "s": 0}]},  # no 'p'
+        {"valid": True, "interpolants": [{"p": 0, "q": 1, "r": 1.0, "s": 0}]},
+        {"valid": True, "interpolants": [{"p": 0, "q": 1, "r": 1, "s": None}]},
+        {"valid": True, "interpolants": {"p": 0}},  # not a list
+    ],
+)
+def test_malformed_verdict_parse_error(obj):
+    with pytest.raises(ParseError):
+        ser.verdict_from_obj(obj)
+
+
 class TestMapRoundTrip:
     def test_monotone_map(self):
         m = MonotoneMap(chain(2), chain(3), (0, 2))
@@ -81,6 +106,12 @@ class TestFrontierRoundTrip:
     def test_csv_bad_row(self):
         with pytest.raises(ParseError):
             ser.frontier_from_csv("1,2\n3\n")
+
+    @pytest.mark.parametrize("text", ["1,x\n", "1,2\n1.5,1\n", "1,2\n\n,3\n"])
+    def test_csv_non_integer_cell(self, text):
+        with pytest.raises(ParseError) as e:
+            ser.frontier_from_csv(text)
+        assert e.value.line == text.count("\n")
 
 
 class TestAlgebraRoundTrip:

@@ -121,8 +121,8 @@ class TestCanonicalForm:
             for P in enumerate_posets(n):
                 key = _canonical_rows(P)
                 for a in range(1, n + 1):
-                    own = _needed_g_table.__wrapped__(P.up, a, ORACLE_CELL_BUDGET)
-                    assert _needed_g_table(key, a, ORACLE_CELL_BUDGET) == own
+                    own = _needed_g_table.__wrapped__(P.up, a)
+                    assert _needed_g_table(key, a) == own
 
     def test_sweep_builds_one_table_per_class_and_capacity(self):
         _needed_g_table.cache_clear()

@@ -9,6 +9,8 @@ from fnlab.boolalg import (
     generated_subalgebra,
     literal_normal_forms,
     powerset_algebra,
+    subalgebra_index_mask,
+    subalgebra_masks,
     tree_algebra,
 )
 from fnlab.errors import (
@@ -24,6 +26,7 @@ from fnlab.fnmaps import (
     transport_exponential,
     transport_retract,
     transport_subalgebra,
+    transports,
     trivial_pair,
     verify_pair,
     wellorder_map,
@@ -38,6 +41,7 @@ from fnlab.oracle import brute_cofactor_minmax, brute_minmax_in_subset
 from fnlab.poset import (
     MonotoneMap,
     SubsetView,
+    bits_of,
     chain,
     diamond,
     identity_map,
@@ -220,6 +224,69 @@ class TestExponentialTransport:
         A = generated_subalgebra(powerset_algebra(3), [0b011])
         out = transport_exponential(exponential(A), trivial_pair(A.as_poset()))
         assert out.poset.n == 8 and verify_pair(out).valid
+
+
+def _scanned_bracket(E, a):
+    return sum(1 << t for t, p in enumerate(E.points) if p & ~a == 0)
+
+
+def _reference_transport_exponential(E, pair):
+    """The per-element recipe: each hyperspace element's own literal set,
+    closed in the base, lifted through the maps by a scan of the points and
+    closed in the exponential."""
+
+    def literals(pointmask):
+        out = set()
+        for t in bits_of(pointmask):
+            b = E.points[t]
+            if b != E.base.one:
+                out.add(b)
+            out |= {E.base.complement(a) for a in E.base.atoms() if a & ~b == 0} - {0}
+        return out
+
+    full = E.algebra.one
+    F, G = [], []
+    for x in range(E.algebra.size):
+        idx = set() if x in (0, full) else literals(x) | literals(full ^ x)
+        H = [E.base.element_index(h) for h in subalgebra_masks(E.base.k, sorted(idx))]
+        for m, out in ((pair.f, F), (pair.g, G)):
+            gens = {_scanned_bracket(E, E.base.element_mask(d)) for h in H for d in bits_of(m[h])}
+            out.append(subalgebra_index_mask(len(E.points), frozenset(gens)))
+    return FnPair(E.algebra.as_poset(), tuple(F), tuple(G))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        *(powerset_algebra(k) for k in range(4)),
+        generated_subalgebra(powerset_algebra(3), [0b011]),
+        generated_subalgebra(powerset_algebra(5), [0b00111, 0b11100]),
+        tree_algebra(2, 1),
+    ],
+)
+def test_exponential_transport_matches_per_element_recipe(base):
+    """Two literal sets give what each element's own literal set gave, and
+    the brackets read off the base order are the per-point scan."""
+    rng = random.Random(base.size)
+    E = exponential(base)
+    for a in base.elements():
+        assert E.bracket(a) == _scanned_bracket(E, a)
+    for _ in range(6):
+        pair = random_valid_pair(base.as_poset(), rng)
+        assert transport_exponential(E, pair) == _reference_transport_exponential(E, pair)
+
+
+def test_exponential_transport_closes_two_literal_sets(monkeypatch):
+    calls = []
+
+    def counted(k, gens):
+        calls.append(k)
+        return subalgebra_masks(k, gens)
+
+    monkeypatch.setattr(transports, "subalgebra_masks", counted)
+    B = powerset_algebra(3)
+    transport_exponential(exponential(B), random_valid_pair(B.as_poset(), random.Random(3)))
+    assert len(calls) == 2
 
 
 class TestCarrierCofactorTransport:
