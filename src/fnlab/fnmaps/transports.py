@@ -126,7 +126,8 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     Every base element is rewritten in its canonical DNF and CNF over
     cofactor literals; the images of all literals under the cofactor maps
     are embedded and closed into generated subalgebras, which interpolate
-    by the normal-form argument.
+    by the normal-form argument.  Elements with the same literal set share
+    their images, so each distinct set is closed once.
     """
     if len(pairs) != len(C.cofactors):
         raise DomainMismatch("need exactly one pair per cofactor")
@@ -139,26 +140,35 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     base_poset = C.base.as_poset()
     # per literal (i, c): the embedded images of f(c) and of g(c)
     images: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
+    # per literal set: the two generated subalgebras, as element masks
+    closures: dict[frozenset[tuple[int, int]], tuple[int, int]] = {}
     F = []
     G = []
     for x in range(base_poset.n):
         nf = literal_normal_forms(C, x)
-        f0: set[int] = set()
-        g0: set[int] = set()
-        for i, c in set().union(*nf.dnf, *nf.cnf):
-            if (i, c) not in images:
-                B = C.cofactors[i]
-                ci = B.element_index(c)
-                images[i, c] = tuple(
-                    {C.embed(i, B.element_mask(d)) for d in bits_of(m[ci])}
-                    for m in (pairs[i].f, pairs[i].g)
-                )
-            fi, gi = images[i, c]
-            f0 |= fi
-            g0 |= gi
-        # base poset index == element mask
-        F.append(subalgebra_index_mask(C.katoms, frozenset(f0)))
-        G.append(subalgebra_index_mask(C.katoms, frozenset(g0)))
+        lits = frozenset().union(*nf.dnf, *nf.cnf)
+        if lits not in closures:
+            f0: set[int] = set()
+            g0: set[int] = set()
+            for i, c in lits:
+                if (i, c) not in images:
+                    B = C.cofactors[i]
+                    ci = B.element_index(c)
+                    images[i, c] = tuple(
+                        {C.embed(i, B.element_mask(d)) for d in bits_of(m[ci])}
+                        for m in (pairs[i].f, pairs[i].g)
+                    )
+                fi, gi = images[i, c]
+                f0 |= fi
+                g0 |= gi
+            # base poset index == element mask
+            closures[lits] = (
+                subalgebra_index_mask(C.katoms, frozenset(f0)),
+                subalgebra_index_mask(C.katoms, frozenset(g0)),
+            )
+        fx, gx = closures[lits]
+        F.append(fx)
+        G.append(gx)
     return _checked(FnPair(base_poset, tuple(F), tuple(G)))
 
 

@@ -212,6 +212,10 @@ def verdict_from_obj(obj) -> Verdict:
     violation = None
     if obj.get("violation") is not None:
         violation = _record(obj["violation"], ("p", "q", "clause"))
+        if violation[2] not in (1, 2):
+            raise ParseError("verdict violation clause must be 1 or 2")
+    if (violation is None) != obj["valid"]:
+        raise ParseError("a verdict carries a violation exactly when it is invalid")
     inter = None
     if obj.get("interpolants") is not None:
         records = obj["interpolants"]
@@ -273,7 +277,14 @@ def frontier_from_csv(text: str) -> Frontier:
             points.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError("frontier rows must be two integers", lineno, 1) from None
-    return Frontier(tuple(sorted(points)))
+    points.sort()
+    if any(a < 1 or b < 1 for a, b in points):
+        raise ParseError("frontier capacities must be at least 1")
+    if any(a1 >= a2 or b1 <= b2 for (a1, b1), (a2, b2) in zip(points, points[1:])):
+        raise ParseError("frontier points must form an antichain without repeats")
+    if set(points) != {(b, a) for a, b in points}:
+        raise ParseError("frontier points must be symmetric under swapping a and b")
+    return Frontier(tuple(points))
 
 
 # --------------------------------------------------------------- algebras

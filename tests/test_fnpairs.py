@@ -13,6 +13,7 @@ from fnlab.errors import (
 )
 from fnlab.fnmaps import (
     FnPair,
+    Verdict,
     collapse,
     interpolant_lookup,
     trivial_pair,
@@ -21,7 +22,7 @@ from fnlab.fnmaps import (
     wellorder_map,
 )
 from fnlab.gen import random_poset, random_total_map, random_valid_pair
-from fnlab.poset import antichain, chain, diamond
+from fnlab.poset import antichain, bits_of, chain, diamond
 
 
 class TestVerifySingle:
@@ -104,6 +105,59 @@ class TestInvariants:
         P = random_poset(n, rng)
         h = random_total_map(P, rng)
         assert verify_single(P, h).valid == verify_pair(FnPair(P, h, h)).valid
+
+
+def _reference_verify(pair: FnPair) -> Verdict:
+    """The verifier as a full scan: every comparable pair, both clauses,
+    then the least-index witnesses of a valid pair."""
+    P, f, g = pair.poset, pair.f, pair.g
+    for p in range(P.n):
+        for q in bits_of(P.up[p]):
+            box = P.up[p] & P.down[q]
+            if not f[p] & g[q] & box:
+                return Verdict(False, (p, q, 1))
+            if not g[p] & f[q] & box:
+                return Verdict(False, (p, q, 2))
+    inter = {}
+    for p in range(P.n):
+        for q in bits_of(P.up[p]):
+            box = P.up[p] & P.down[q]
+            r = f[p] & g[q] & box
+            s = g[p] & f[q] & box
+            inter[p, q] = ((r & -r).bit_length() - 1, (s & -s).bit_length() - 1)
+    return Verdict(True, None, inter)
+
+
+def _verifier_input(kind: str, P, rng: random.Random) -> FnPair:
+    if kind == "total":  # arbitrary maps, which often miss the diagonal
+        density = rng.choice((0.4, 0.7, 0.9))
+        return FnPair(P, random_total_map(P, rng, density), random_total_map(P, rng, density))
+    pair = random_valid_pair(P, rng)
+    if kind == "valid":
+        return pair
+    # a valid pair with one image bit cleared
+    maps = [list(pair.f), list(pair.g)]
+    m = maps[rng.randrange(2)]
+    x = rng.randrange(P.n)
+    if m[x]:
+        bits = list(bits_of(m[x]))
+        m[x] &= ~(1 << rng.choice(bits))
+    return FnPair(P, tuple(maps[0]), tuple(maps[1]))
+
+
+class TestVerifierAgainstFullScan:
+    """The verifier skips pairs that their own endpoint witnesses; its verdict
+    must equal the full scan's, interpolants included."""
+
+    @given(st.integers(0, 10**6))
+    def test_same_verdict(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            P = random_poset(rng.randint(1, 7), rng, rng.choice((0.2, 0.35, 0.6)))
+            for kind in ("total", "valid", "cleared"):
+                pair = _verifier_input(kind, P, rng)
+                expected = _reference_verify(pair)
+                assert verify_pair(pair, with_interpolants=True) == expected, (kind, pair)
 
 
 class TestCollapse:

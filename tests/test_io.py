@@ -81,6 +81,12 @@ class TestVerdictRoundTrip:
         {"valid": True, "interpolants": [{"p": 0, "q": 1, "r": 1.0, "s": 0}]},
         {"valid": True, "interpolants": [{"p": 0, "q": 1, "r": 1, "s": None}]},
         {"valid": True, "interpolants": {"p": 0}},  # not a list
+        {"valid": True, "violation": {"p": 0, "q": 1, "clause": 7}},
+        {"valid": False, "violation": {"p": 0, "q": 1, "clause": 7}},  # clause 1 or 2
+        {"valid": False, "violation": {"p": 0, "q": 1, "clause": 0}},
+        {"valid": True, "violation": {"p": 0, "q": 1, "clause": 1}},  # valid, violated
+        {"valid": False},  # invalid without a violation
+        {"valid": False, "violation": None},
     ],
 )
 def test_malformed_verdict_parse_error(obj):
@@ -102,6 +108,29 @@ class TestFrontierRoundTrip:
         text = ser.frontier_to_csv(fr)
         assert text == "1,4\n2,2\n4,1\n"
         assert ser.frontier_from_csv(text) == fr
+
+    def test_partial_frontier_parses(self):
+        from fnlab.fnmaps import Frontier
+
+        assert ser.frontier_from_csv("1,5\n5,1\n# inconclusive: budget\n") == Frontier(
+            ((1, 5), (5, 1))
+        )
+        assert ser.frontier_from_csv("# inconclusive: budget\n") == Frontier(())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0,-1\n2,2\n2,2\n",  # capacities below 1, a repeated point
+            "1,0\n0,1\n",  # capacity 0
+            "2,2\n2,2\n",  # a repeated point
+            "1,4\n2,4\n4,2\n4,1\n",  # (1,4) <= (2,4): not an antichain
+            "1,4\n2,2\n",  # not symmetric
+            "2,3\n",
+        ],
+    )
+    def test_csv_meaningless_frontier(self, text):
+        with pytest.raises(ParseError):
+            ser.frontier_from_csv(text)
 
     def test_csv_bad_row(self):
         with pytest.raises(ParseError):

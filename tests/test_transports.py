@@ -289,6 +289,35 @@ def test_exponential_transport_closes_two_literal_sets(monkeypatch):
     assert len(calls) == 2
 
 
+def _reference_transport_coproduct(C, pairs):
+    """The per-element recipe: each base element's own literal set, its
+    literals' images embedded and closed, with no sharing between elements."""
+    F, G = [], []
+    for x in range(C.base.size):
+        nf = literal_normal_forms(C, x)
+        f0, g0 = set(), set()
+        for i, c in set().union(*nf.dnf, *nf.cnf):
+            B = C.cofactors[i]
+            ci = B.element_index(c)
+            f0 |= {C.embed(i, B.element_mask(d)) for d in bits_of(pairs[i].f[ci])}
+            g0 |= {C.embed(i, B.element_mask(d)) for d in bits_of(pairs[i].g[ci])}
+        F.append(subalgebra_index_mask(C.katoms, frozenset(f0)))
+        G.append(subalgebra_index_mask(C.katoms, frozenset(g0)))
+    return FnPair(C.base.as_poset(), tuple(F), tuple(G))
+
+
+@pytest.mark.parametrize("ks", [(1, 2, 3), (2, 3), (3, 3)])
+def test_coproduct_transport_matches_per_element_recipe(ks):
+    """Closing each distinct literal set once gives what each element's own
+    closure gave."""
+    rng = random.Random(repr(ks))
+    cofactors = [powerset_algebra(k) for k in ks]
+    C = coproduct(cofactors)
+    for _ in range(3):
+        pairs = [random_valid_pair(B.as_poset(), rng) for B in cofactors]
+        assert transport_coproduct(C, pairs) == _reference_transport_coproduct(C, pairs)
+
+
 class TestCarrierCofactorTransport:
     def test_tree_algebra_cofactor(self):
         from fnlab.boolalg import tree_algebra
