@@ -14,6 +14,21 @@ each assignment), branches on the unassigned slot with the fewest values
 left (ties to the least slot index) and tries values least index first, so
 the witness is deterministic bit for bit.  Every value tried counts one
 node, forced slots included.
+
+Arc revision works on element masks (bitwise arc consistency, after
+Lecoutre and Vion).  When slot ``v`` is popped, the union of the candidate
+sets left in its domain is one element mask ``held``; the values of a
+partner slot ``u`` supported across a box ``B`` are the candidates of ``u``
+holding some element of ``held & B``, one OR of per-element candidate
+masks.  Both steps are pure functions of a candidate table, so each table
+memoizes them: ``held`` keyed by the domain, the support keyed by the
+element mask.  The memos live with the tables in the ``lru_cache`` of
+``_slot_tables``, are shared by every query and walk with the same ``n``
+and capacity, and last as long as that cache entry.  The arcs, each box as
+an element mask, depend only on the poset and are built once per poset.
+
+A query whose maps would have more than ``MAX_CANDIDATES`` candidate sets
+is refused with :class:`SizeExceeded` before any table is built.
 """
 
 from __future__ import annotations
@@ -21,19 +36,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from ..errors import BudgetExceeded, InvalidArgument
+from ..errors import BudgetExceeded, InvalidArgument, SizeExceeded
 from ..poset import Poset, bits_of
 from .core import CapacityPair, FnPair
 
 DEFAULT_NODE_BUDGET = 10**8
+# candidate sets per map, n * C(n - 1, size - 1): every query on at most 19
+# elements is within it (19 * C(18, 9) = 923780), n = 20 at size 10 is not
+MAX_CANDIDATES = 2**20
+
+_Table = tuple[tuple[int, ...], tuple[int, ...], dict[int, int], dict[int, int]]
 
 
 @lru_cache(maxsize=16)
-def _slot_tables(n: int, size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _slot_tables(n: int, size: int) -> tuple[_Table, ...]:
     """For each element ``x``: the ``size``-element sets containing ``x``,
-    least indices first, and for each element ``r`` the bitmask of the
-    indices of those sets that hold ``r``."""
+    least indices first; for each element ``r`` the bitmask of the indices
+    of those sets that hold ``r``; and the memos of that table, ``held``
+    (domain -> element mask) and support (element mask -> domain)."""
     tables = []
     for x in range(n):
         others = [i for i in range(n) if i != x]
@@ -45,8 +67,23 @@ def _slot_tables(n: int, size: int) -> tuple[tuple[tuple[int, ...], tuple[int, .
         for i, m in enumerate(cands):
             for r in bits_of(m):
                 contains[r] |= 1 << i
-        tables.append((cands, tuple(contains)))
+        tables.append((cands, tuple(contains), {}, {}))
     return tuple(tables)
+
+
+@lru_cache(maxsize=1)
+def _arcs(P: Poset) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each slot ``v``: ``(u, box)`` for each slot ``u`` whose support
+    depends on ``v``, ``box`` the element mask of the interval between
+    their two elements."""
+    arcs = [[] for _ in range(2 * P.n)]
+    up, down = P.up, P.down
+    for x in range(P.n):
+        for y in bits_of((up[x] | down[x]) & ~(1 << x)):
+            box = up[x] & down[y] | up[y] & down[x]
+            arcs[2 * y + 1].append((2 * x, box))
+            arcs[2 * y].append((2 * x + 1, box))
+    return tuple(map(tuple, arcs))
 
 
 def search_pair(
@@ -58,7 +95,9 @@ def search_pair(
     there is none.
 
     Complete within the capacity bounds; raises :class:`BudgetExceeded` when
-    the node budget runs out, which is reported distinctly from ``None``.
+    the node budget runs out, which is reported distinctly from ``None``,
+    and :class:`SizeExceeded` when a map would have more than
+    ``MAX_CANDIDATES`` candidate sets.
     """
     a, b = CapacityPair(*cap).check()
     if node_budget < 0:
@@ -66,35 +105,50 @@ def search_pair(
     n = P.n
     if n == 0:
         return FnPair(P, (), ())
-    fsets, gsets = _slot_tables(n, min(a, n)), _slot_tables(n, min(b, n))
-    # cands[u] lists the candidate sets of slot u; contains[u][r] is the
-    # bitmask of the indices of those that hold element r
+    sizes = min(a, n), min(b, n)
+    for size in sizes:
+        count = n * comb(n - 1, size - 1)
+        if count > MAX_CANDIDATES:
+            raise SizeExceeded(
+                f"{count} candidate sets of size {size} exceed cap {MAX_CANDIDATES}"
+            )
+    fsets, gsets = (_slot_tables(n, size) for size in sizes)
+    # per slot u: its candidate sets; contains[u][r], the bitmask of the
+    # indices of those that hold element r; and the memos of its table
     tables = [t for x in range(n) for t in (fsets[x], gsets[x])]
-    cands = [c for c, _ in tables]
-    contains = [h for _, h in tables]
-    # arcs[v]: (u, box) for each slot u whose support depends on slot v
-    arcs = [[] for _ in range(2 * n)]
-    up, down = P.up, P.down
-    for x in range(n):
-        for y in bits_of((up[x] | down[x]) & ~(1 << x)):
-            box = list(bits_of(up[x] & down[y] | up[y] & down[x]))
-            arcs[2 * y + 1].append((2 * x, box))
-            arcs[2 * y].append((2 * x + 1, box))
+    cands, contains, held_memo, support_memo = zip(*tables)
+    arcs = _arcs(P)
 
     def revise(dom: list[int], pending: list[int]) -> bool:
         """Make ``dom`` arc-consistent after the slots in ``pending``
         shrank; False when some domain empties."""
         while pending:
             v = pending.pop()
-            dv, cv = dom[v], contains[v]
-            for u, box in arcs[v]:
-                cu = contains[u]
-                support = 0
-                for r in box:
+            if not arcs[v]:
+                continue
+            dv = dom[v]
+            try:
+                held = held_memo[v][dv]
+            except KeyError:
+                cv = contains[v]
+                held = 0
+                for r in range(n):
                     if cv[r] & dv:
+                        held |= 1 << r
+                held_memo[v][dv] = held
+            for u, box in arcs[v]:
+                key = held & box
+                try:
+                    support = support_memo[u][key]
+                except KeyError:
+                    cu = contains[u]
+                    support = 0
+                    for r in bits_of(key):
                         support |= cu[r]
-                du = dom[u] & support
-                if du != dom[u]:
+                    support_memo[u][key] = support
+                du = dom[u]
+                if du & support != du:
+                    du &= support
                     if not du:
                         return False
                     dom[u] = du

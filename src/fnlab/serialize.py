@@ -221,9 +221,13 @@ def verdict_from_obj(obj) -> Verdict:
         records = obj["interpolants"]
         if not isinstance(records, list):
             raise ParseError("verdict 'interpolants' must be a list")
+        if not obj["valid"]:
+            raise ParseError("only a valid verdict carries interpolants")
         inter = {}
         for rec in records:
             p, q, r, s = _record(rec, ("p", "q", "r", "s"))
+            if (p, q) in inter:
+                raise ParseError(f"verdict repeats the interpolant of ({p}, {q})")
             inter[p, q] = (r, s)
     return Verdict(obj["valid"], violation, inter)
 

@@ -586,6 +586,17 @@ def test_oracle_without_numpy_exit_two(diamond_file, cmd):
     assert proc.stdout == ""
 
 
+def test_oversized_search_exit_three_fast(tmp_path):
+    """256 * C(255, 127) candidate sets per map: refused before any
+    candidate table is listed."""
+    poset256 = write(tmp_path / "p256.json", ser.dumps(ser.poset_to_obj(chain(256))))
+    proc, wall = run_child(["search", poset256, "--cap", "128,128"], memory=2 << 30, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+    assert wall < 5
+
+
 def test_tree_past_work_bound_exit_three_fast():
     """2^20 points and 20 nested vanishing sets: 2^20 elements of 2^20
     atoms, refused from the block count before the carrier is listed."""

@@ -87,6 +87,15 @@ class TestVerdictRoundTrip:
         {"valid": True, "violation": {"p": 0, "q": 1, "clause": 1}},  # valid, violated
         {"valid": False},  # invalid without a violation
         {"valid": False, "violation": None},
+        {  # interpolants on an invalid verdict
+            "valid": False,
+            "violation": {"p": 0, "q": 1, "clause": 1},
+            "interpolants": [{"p": 0, "q": 1, "r": 5, "s": 9}],
+        },
+        {  # two records for the same (p, q)
+            "valid": True,
+            "interpolants": [{"p": 0, "q": 1, "r": 1, "s": 1}, {"p": 0, "q": 1, "r": 2, "s": 2}],
+        },
     ],
 )
 def test_malformed_verdict_parse_error(obj):

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnlab.errors import BudgetExceeded
+from fnlab.errors import BudgetExceeded, SizeExceeded
 from fnlab.fnmaps import (
     FnPair,
     Frontier,
@@ -15,6 +17,7 @@ from fnlab.fnmaps import (
     verify_pair,
     wellorder_map,
 )
+from fnlab.fnmaps.search import MAX_CANDIDATES
 from fnlab.gen import random_poset
 from fnlab.boolalg import powerset_algebra
 from fnlab.oracle import (
@@ -23,7 +26,7 @@ from fnlab.oracle import (
     enumerate_posets,
     reference_valid_pair,
 )
-from fnlab.poset import antichain, chain, diamond
+from fnlab.poset import antichain, bits_of, chain, diamond
 
 # Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
 # model of the same problem, solved separately, gave the same points.
@@ -80,6 +83,113 @@ class TestSearchPair:
         P = antichain(600)
         singletons = tuple(1 << x for x in range(600))
         assert search_pair(P, (1, 1)) == FnPair(P, singletons, singletons)
+
+    def test_oversized_query_refused(self):
+        # 256 * C(255, 127) candidate sets per map; listing them never ends
+        with pytest.raises(SizeExceeded):
+            search_pair(chain(256), (128, 128))
+        with pytest.raises(SizeExceeded):  # one map over the cap is enough
+            search_pair(chain(256), (1, 128))
+        assert 20 * comb(19, 9) > MAX_CANDIDATES
+        with pytest.raises(SizeExceeded):
+            search_pair(chain(20), (2, 10))
+
+    def test_largest_sixteen_element_query_allowed(self):
+        assert 16 * comb(15, 7) <= MAX_CANDIDATES
+        got = search_pair(antichain(16), (8, 8))
+        assert got is not None and got.capacities() == (8, 8)
+
+
+def reference_search(P, cap, node_budget):
+    """The search with the per-box arc revision that the element-mask
+    kernel replaced: same branching, value order and node count."""
+    a, b = cap
+    n = P.n
+    cands, contains = [], []
+    for x in range(n):
+        for size in (min(a, n), min(b, n)):
+            others = [i for i in range(n) if i != x]
+            cs = [(1 << x) | sum(1 << i for i in c) for c in combinations(others, size - 1)]
+            cands.append(cs)
+            contains.append([sum(1 << i for i, m in enumerate(cs) if m >> r & 1) for r in range(n)])
+    arcs = [[] for _ in range(2 * n)]
+    for x in range(n):
+        for y in bits_of((P.up[x] | P.down[x]) & ~(1 << x)):
+            box = list(bits_of(P.up[x] & P.down[y] | P.up[y] & P.down[x]))
+            arcs[2 * y + 1].append((2 * x, box))
+            arcs[2 * y].append((2 * x + 1, box))
+
+    def revise(dom, pending):
+        while pending:
+            v = pending.pop()
+            dv, cv = dom[v], contains[v]
+            for u, box in arcs[v]:
+                cu = contains[u]
+                support = 0
+                for r in box:
+                    if cv[r] & dv:
+                        support |= cu[r]
+                du = dom[u] & support
+                if du != dom[u]:
+                    if not du:
+                        return False
+                    dom[u] = du
+                    if u not in pending:
+                        pending.append(u)
+        return True
+
+    nodes = 0
+
+    def walk(dom, free):
+        nonlocal nodes
+        if not free:
+            return dom
+        u = min(free, key=lambda s: dom[s].bit_count())
+        rest = [s for s in free if s != u]
+        for i in bits_of(dom[u]):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(nodes, node_budget)
+            child = dom.copy()
+            child[u] = 1 << i
+            if revise(child, [u]):
+                found = walk(child, rest)
+                if found is not None:
+                    return found
+        return None
+
+    dom = [(1 << len(c)) - 1 for c in cands]
+    if n == 0 or not revise(dom, list(range(2 * n))):
+        return FnPair(P, (), ()) if n == 0 else None
+    found = walk(dom, list(range(2 * n)))
+    if found is None:
+        return None
+    images = [c[d.bit_length() - 1] for c, d in zip(cands, found)]
+    return FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
+
+
+def outcome(search, P, cap, node_budget):
+    """The witness or ``None``, or the node count where the budget ran out."""
+    try:
+        return search(P, cap, node_budget)
+    except BudgetExceeded as e:
+        return ("budget", e.nodes)
+
+
+class TestAgainstPerBoxReference:
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 9),
+        st.lists(st.integers(3, 1000), min_size=1, max_size=3),
+    )
+    @settings(max_examples=20)
+    def test_witnesses_and_budget_points(self, seed, n, budgets):
+        P = random_poset(n, random.Random(seed))
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                for budget in (10**6, *budgets):
+                    got = outcome(search_pair, P, (a, b), budget)
+                    assert got == outcome(reference_search, P, (a, b), budget), (a, b, budget)
 
 
 class TestUniversalPairs:
