@@ -2,10 +2,12 @@
 
 ``search_pair`` is a complete search that decides whether a valid pair
 within capacities ``(a, b)`` exists and returns a witness when one does.
-Slot ``2x`` holds ``f(x)`` and slot ``2x + 1`` holds ``g(x)``; a slot's
-domain is a bitmask over the indices of its candidate sets, listed least
-indices first.  Validity is pointwise monotone, so every image may be fixed
-to its exact capacity without losing completeness.
+Slot ``2x`` holds ``f(x)`` and slot ``2x + 1`` holds ``g(x)``.  Each map
+has one candidate table, every ``size``-subset of the elements in
+``combinations`` order; a slot's domain is a bitmask over the indices of
+that table, starting as the sets that hold the slot's element.  Validity is
+pointwise monotone, so every image may be fixed to its exact capacity
+without losing completeness.
 
 Both interpolation clauses are one binary constraint: for comparable
 ``x != y`` with box ``B = [min, max]``, ``f(x) ∩ g(y) ∩ B`` is non-empty.
@@ -21,14 +23,16 @@ sets left in its domain is one element mask ``held``; the values of a
 partner slot ``u`` supported across a box ``B`` are the candidates of ``u``
 holding some element of ``held & B``, one OR of per-element candidate
 masks.  Both steps are pure functions of a candidate table, so each table
-memoizes them: ``held`` keyed by the domain, the support keyed by the
-element mask.  The memos live with the tables in the ``lru_cache`` of
-``_slot_tables``, are shared by every query and walk with the same ``n``
-and capacity, and last as long as that cache entry.  The arcs, each box as
-an element mask, depend only on the poset and are built once per poset.
+memoizes them, and every slot of a map (of both maps when ``a == b``)
+shares its memos: ``held`` keyed by the domain, the support keyed by the
+element mask.  The tables and their memos live in the ``lru_cache`` of
+``_table``, are shared by every query and walk with the same ``n`` and
+capacity, and last as long as that cache entry.  The arcs, each box as an
+element mask, depend only on the poset and are built once per poset.
 
-A query whose maps would have more than ``MAX_CANDIDATES`` candidate sets
-is refused with :class:`SizeExceeded` before any table is built.
+``MAX_CANDIDATES`` caps the candidates of a map summed over its slots,
+``n * C(n - 1, size - 1)`` (``size`` times its table's length); a query
+over it is refused with :class:`SizeExceeded` before any table is built.
 """
 
 from __future__ import annotations
@@ -43,32 +47,26 @@ from ..poset import Poset, bits_of
 from .core import CapacityPair, FnPair
 
 DEFAULT_NODE_BUDGET = 10**8
-# candidate sets per map, n * C(n - 1, size - 1): every query on at most 19
-# elements is within it (19 * C(18, 9) = 923780), n = 20 at size 10 is not
+# candidates per map summed over its slots, n * C(n - 1, size - 1): every
+# query on at most 19 elements is within it (19 * C(18, 9) = 923780), n = 20
+# at size 10 is not
 MAX_CANDIDATES = 2**20
 
 _Table = tuple[tuple[int, ...], tuple[int, ...], dict[int, int], dict[int, int]]
 
 
 @lru_cache(maxsize=16)
-def _slot_tables(n: int, size: int) -> tuple[_Table, ...]:
-    """For each element ``x``: the ``size``-element sets containing ``x``,
-    least indices first; for each element ``r`` the bitmask of the indices
-    of those sets that hold ``r``; and the memos of that table, ``held``
-    (domain -> element mask) and support (element mask -> domain)."""
-    tables = []
-    for x in range(n):
-        others = [i for i in range(n) if i != x]
-        cands = tuple(
-            (1 << x) | sum(1 << i for i in combo)
-            for combo in combinations(others, size - 1)
-        )
-        contains = [0] * n
-        for i, m in enumerate(cands):
-            for r in bits_of(m):
-                contains[r] |= 1 << i
-        tables.append((cands, tuple(contains), {}, {}))
-    return tuple(tables)
+def _table(n: int, size: int) -> _Table:
+    """Every ``size``-element subset of ``range(n)`` as a mask, in
+    ``combinations`` order; for each element ``r`` the bitmask of the indices
+    of those that hold ``r``; and the memos ``held`` (domain -> element mask)
+    and support (element mask -> domain)."""
+    cands = tuple(sum(1 << i for i in combo) for combo in combinations(range(n), size))
+    contains = [0] * n
+    for i, m in enumerate(cands):
+        for r in bits_of(m):
+            contains[r] |= 1 << i
+    return cands, tuple(contains), {}, {}
 
 
 @lru_cache(maxsize=1)
@@ -96,8 +94,8 @@ def search_pair(
 
     Complete within the capacity bounds; raises :class:`BudgetExceeded` when
     the node budget runs out, which is reported distinctly from ``None``,
-    and :class:`SizeExceeded` when a map would have more than
-    ``MAX_CANDIDATES`` candidate sets.
+    and :class:`SizeExceeded` when a map's candidates, summed over its
+    slots, would exceed ``MAX_CANDIDATES``.
     """
     a, b = CapacityPair(*cap).check()
     if node_budget < 0:
@@ -112,10 +110,9 @@ def search_pair(
             raise SizeExceeded(
                 f"{count} candidate sets of size {size} exceed cap {MAX_CANDIDATES}"
             )
-    fsets, gsets = (_slot_tables(n, size) for size in sizes)
-    # per slot u: its candidate sets; contains[u][r], the bitmask of the
-    # indices of those that hold element r; and the memos of its table
-    tables = [t for x in range(n) for t in (fsets[x], gsets[x])]
+    # slot 2x draws from the f table and slot 2x + 1 from the g table;
+    # contains[u][r] is the bitmask of the indices of the sets holding r
+    tables = [_table(n, size) for size in sizes] * n
     cands, contains, held_memo, support_memo = zip(*tables)
     arcs = _arcs(P)
 
@@ -172,7 +169,8 @@ def search_pair(
             if revise(child, [u]):
                 yield child, rest
 
-    dom = [(1 << len(c)) - 1 for c in cands]
+    # a slot's candidates are the sets holding its element
+    dom = [c[u >> 1] for u, c in enumerate(contains)]
     if not revise(dom, list(range(2 * n))):
         return None
     # depth first over an explicit stack of child generators, one per

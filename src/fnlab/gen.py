@@ -16,10 +16,16 @@ from .poset import MonotoneMap, Poset, SubsetView, check_poset_size, poset_from_
 DEFAULT_SEED = 0
 
 
+def _check_share(name: str, p: float) -> None:
+    if not 0 <= p <= 1:  # NaN fails both comparisons
+        raise InvalidArgument(f"{name} {p} is outside [0, 1]")
+
+
 def random_poset(n: int, rng: random.Random, density: float = 0.35) -> Poset:
     """Random labeled poset: random edges compatible with a hidden random
     linear extension, then transitive closure."""
     check_poset_size(n)  # before the n^2 edge draws
+    _check_share("density", density)
     perm = list(range(n))
     rng.shuffle(perm)
     edges = []
@@ -46,6 +52,7 @@ def random_valid_pair(P: Poset, rng: random.Random, enlarge: float = 0.25) -> Fn
     """A valid pair: start from a known-valid base (the whole-poset/singleton
     pair or a random-order prefix map) and randomly enlarge images, which
     preserves validity pointwise."""
+    _check_share("enlarge", enlarge)
     if rng.random() < 0.5:
         base = trivial_pair(P)
     else:

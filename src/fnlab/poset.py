@@ -9,6 +9,7 @@ Labels are decorative only. All values are immutable after validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -241,7 +242,7 @@ class SubsetView:
         for p in self.members:
             self.ambient.check_index(p)
 
-    @property
+    @cached_property
     def mask(self) -> int:
         return mask_of(self.members)
 

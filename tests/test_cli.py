@@ -72,6 +72,8 @@ def invalid_pair_file(tmp_path):
          "--section", "{identity}", "--retraction", "{identity}"],
         ["transport", "subalgebra", "--pair", "{pair}", "--pair", "{pair}", "--members", "0,3"],
         ["transport", "exponential", "--algebra", "{e2}", "--pair", "{pair}", "--pair", "{pair}"],
+        *(["gen", "poset", "--n", "3", f"--density={p}"] for p in ("nan", "-0.1", "1.5")),
+        *(["gen", "pair", "{diamond}", f"--enlarge={p}"] for p in ("nan", "-0.1", "1.5")),
     ],
 )
 def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from hashlib import sha256
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from fnlab.fnmaps import (
     verify_pair,
     wellorder_map,
 )
+from fnlab.fnmaps import search as search_module
 from fnlab.fnmaps.search import MAX_CANDIDATES
 from fnlab.gen import random_poset
 from fnlab.boolalg import powerset_algebra
@@ -29,7 +31,8 @@ from fnlab.oracle import (
 from fnlab.poset import antichain, bits_of, chain, diamond
 
 # Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
-# model of the same problem, solved separately, gave the same points.
+# model of the same problem, solved separately, gave the same points, except
+# where an entry says otherwise.
 FROZEN_BEYOND_ORACLE = {
     "chain_8": (chain(8), ((1, 8), (2, 4), (3, 3), (4, 2), (8, 1))),
     "chain_10": (chain(10), ((1, 10), (2, 5), (3, 3), (5, 2), (10, 1))),
@@ -37,7 +40,16 @@ FROZEN_BEYOND_ORACLE = {
         powerset_algebra(3).as_poset(),
         ((1, 8), (2, 4), (3, 3), (4, 2), (8, 1)),
     ),
+    # a decided 16-element walk; no second engine has confirmed its points
+    # yet (ROADMAP C)
+    "random_16": (
+        random_poset(16, random.Random(0), 0.2),
+        ((1, 11), (2, 4), (3, 3), (4, 2), (11, 1)),
+    ),
 }
+# sha256 of the outcomes of ``witness_log``, frozen from the search: a change
+# to the value order, the node count or any witness changes it
+WITNESS_LOG_SHA256 = "f9d316fdbe3fff38c602c53bee733c2e7ff7b52f78b1d817319e70b3d2d3e92b"
 
 
 class TestSearchPair:
@@ -292,3 +304,48 @@ class TestBeyondOracle:
     def test_six_element_frontier_matches_oracle(self, seed):
         P = random_poset(6, random.Random(seed))
         assert frontier(P).points == brute_frontier(P, max_size=6)
+
+
+def logged(run, *args):
+    """A frontier's points, a witness's images, ``None``, or where the budget
+    ran out with the points confirmed by then."""
+    try:
+        got = run(*args)
+    except BudgetExceeded as e:
+        return (e.nodes, e.budget, e.partial)
+    if isinstance(got, Frontier):
+        return got.points
+    return got if got is None else (got.f, got.g)
+
+
+def witness_log():
+    """Every outcome of a fixed procedure on 18 posets: the walk at a large
+    budget, every capacity pair at a large and at small budgets, and the
+    walk at small budgets."""
+    posets = [chain(6), chain(7), chain(8), chain(10), powerset_algebra(3).as_poset(), diamond()]
+    posets += [random_poset(6 + i % 5, random.Random(i)) for i in range(12)]
+    log = []
+    for P in posets:
+        log.append(logged(frontier, P, 2 * 10**6))
+        for a, b in product(range(1, P.n + 1), repeat=2):
+            for budget in (2 * 10**6, 3, 5, 40, 300):
+                log.append(logged(search_pair, P, (a, b), budget))
+        for budget in (3, 10, 100, 1000):
+            log.append(logged(frontier, P, budget))
+    return log
+
+
+class TestFrozenWitnesses:
+    def test_witness_log_hash(self):
+        assert sha256(repr(witness_log()).encode()).hexdigest() == WITNESS_LOG_SHA256
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_lists_each_elements_sets_in_order(self, n):
+        """A slot's candidates, in ascending table index, are the sets that
+        hold its element in lexicographic order of the other elements."""
+        for size in range(1, n + 1):
+            cands, contains, _, _ = search_module._table(n, size)
+            for x in range(n):
+                others = [i for i in range(n) if i != x]
+                listed = [(1 << x) | sum(1 << i for i in c) for c in combinations(others, size - 1)]
+                assert [cands[i] for i in bits_of(contains[x])] == listed
