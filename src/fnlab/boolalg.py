@@ -98,8 +98,9 @@ class BooleanAlgebra:
 
     ``carrier`` is ``None`` for the full powerset, else the sorted tuple of
     element masks (which must contain 0 and 1 and be closed under the three
-    operations).  ``provenance`` records how the algebra was constructed;
-    it does not affect equality.
+    operations).  ``provenance`` records how the algebra was constructed
+    (by default a powerset, or a subalgebra when there is a carrier); it
+    does not affect equality.
     """
 
     def __init__(self, k: int, carrier=None, provenance=None, _validate=True):
@@ -117,7 +118,10 @@ class BooleanAlgebra:
         self.one = (1 << k) - 1
         self.zero = 0
         self.carrier = tuple(sorted(carrier)) if carrier is not None else None
-        self.provenance = provenance or {"kind": "powerset", "atoms": k}
+        self.provenance = provenance or (
+            {"kind": "powerset", "atoms": k} if carrier is None
+            else {"kind": "subalgebra", "atoms": k, "generators": []}
+        )
         self._poset = None
         if self.carrier is not None and _validate:
             self._validate_carrier()

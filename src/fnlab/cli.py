@@ -27,7 +27,6 @@ from .boolalg import (
     tree_algebra,
 )
 from .errors import (
-    BudgetExceeded,
     FnLabError,
     ParseError,
     SizeExceeded,
@@ -180,7 +179,7 @@ def cmd_frontier(args) -> int:
     P = ser.poset_from_obj(ser.load_file(args.poset))
     try:
         fr = frontier(P, args.budget, workers=args.workers)
-    except BudgetExceeded as e:  # the confirmed rows still go out
+    except SizeExceeded as e:  # a budget or cap cut: the confirmed rows still go out
         _emit(ser.frontier_to_csv(Frontier(e.partial), e), args.output)
         raise
     _emit(ser.frontier_to_csv(fr), args.output)

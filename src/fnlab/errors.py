@@ -33,20 +33,23 @@ class NotTransitive(FnLabError):
 
 
 class SizeExceeded(FnLabError):
-    """A construction or search would exceed its configured size cap."""
+    """A construction or search would exceed its configured size cap.
+
+    A frontier walk cut short this way attaches the boundary points it had
+    already confirmed as ``partial``.
+    """
+
+    partial = None
 
 
 class BudgetExceeded(SizeExceeded):
     """Search node budget ran out before the search space was exhausted.
 
     Distinct from a ``None`` search result: the question is left undecided.
-    A frontier walk that dies this way attaches the boundary points it had
-    already confirmed as ``partial``.
     """
 
-    def __init__(self, nodes: int, budget: int, partial=None):
+    def __init__(self, nodes: int, budget: int):
         self.nodes, self.budget = nodes, budget
-        self.partial = partial
         super().__init__(f"node budget exhausted ({nodes} nodes, budget {budget})")
 
 

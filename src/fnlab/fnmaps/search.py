@@ -211,17 +211,6 @@ class Frontier:
         return any(a <= cap[0] and b <= cap[1] for a, b in self.points)
 
 
-def _pareto_from_betas(betas: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    points = []
-    prev = None
-    for a in sorted(betas):
-        if prev is None or betas[a] < prev:
-            points.append((a, betas[a]))
-        prev = betas[a]
-    mirrored = {(b, a) for a, b in points} | set(points)
-    return tuple(sorted(mirrored))
-
-
 def frontier(
     P: Poset,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -234,8 +223,9 @@ def frontier(
     diagonal and mirrors the result.  The walk is sequential; ``workers``
     is accepted for compatibility and every positive value gives the same
     result.
-    When the budget runs out, the :class:`BudgetExceeded` carries the
-    boundary points confirmed so far as ``partial``.
+    When the budget or the candidate cap cuts the walk short, the
+    :class:`SizeExceeded` (or :class:`BudgetExceeded`) carries the boundary
+    points confirmed so far as ``partial``.
     """
     if node_budget < 0:
         raise InvalidArgument(f"node budget {node_budget} is negative")
@@ -243,18 +233,23 @@ def frontier(
         raise InvalidArgument(f"worker count {workers} is below 1")
     if P.n == 0:
         return Frontier(((1, 1),))
-    betas: dict[int, int] = {}
-    prev = None
-    for a in range(1, P.n + 1):
-        b = prev if prev is not None else P.n
-        try:
+    # (a, b) for each a where the boundary drops, up to the diagonal
+    points: list[tuple[int, int]] = []
+
+    def mirrored() -> tuple[tuple[int, int], ...]:
+        return tuple(sorted({*points, *((b, a) for a, b in points)}))
+
+    b = P.n
+    try:
+        for a in range(1, P.n + 1):
             while b > 1 and feasible(P, (a, b - 1), node_budget):
                 b -= 1
-        except BudgetExceeded as e:
-            # boundary values confirmed so far are true frontier points
-            raise BudgetExceeded(e.nodes, e.budget, _pareto_from_betas(betas)) from e
-        betas[a] = b
-        prev = b
-        if b <= a:
-            break
-    return Frontier(_pareto_from_betas(betas))
+            if not points or b < points[-1][1]:
+                points.append((a, b))
+            if b <= a:
+                break
+    except SizeExceeded as e:  # BudgetExceeded too
+        # boundary points confirmed so far are true frontier points
+        e.partial = mirrored()
+        raise
+    return Frontier(mirrored())

@@ -23,7 +23,7 @@ from ..errors import (
     NotARetraction,
     TransportDefect,
 )
-from ..poset import MonotoneMap, Poset, SubsetView, _maximal_in, bits_of, check_retraction
+from ..poset import MonotoneMap, SubsetView, _maximal_in, bits_of, check_retraction, mask_of
 from .core import FnPair, verify_pair
 
 
@@ -73,29 +73,23 @@ def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int
     if not A.members:
         raise EmptySubset("cannot transport onto an empty view")
     _require_valid(pair, "subalgebra input")
-    amask = A.mask
-    L = [_maximal_in(Q, amask & Q.down[q]) for q in range(Q.n)]
     induced, elems = A.as_poset()
     pos = {e: k for k, e in enumerate(elems)}
+    # each trace L_q in local indices, converted once
+    L = [
+        mask_of(pos[e] for e in bits_of(_maximal_in(Q, A.mask & Q.down[q])))
+        for q in range(Q.n)
+    ]
 
-    def relocal(ambient_mask: int) -> int:
+    def lift(image: int) -> int:
         out = 0
-        for e in bits_of(ambient_mask):
-            out |= 1 << pos[e]
+        for q in bits_of(image):
+            out |= L[q]
         return out
 
-    F = []
-    G = []
-    for e in elems:
-        fm = 0
-        for q in bits_of(pair.f[e]):
-            fm |= L[q]
-        gm = 0
-        for q in bits_of(pair.g[e]):
-            gm |= L[q]
-        F.append(relocal(fm))
-        G.append(relocal(gm))
-    return _checked(FnPair(induced, tuple(F), tuple(G))), elems
+    F = tuple(lift(pair.f[e]) for e in elems)
+    G = tuple(lift(pair.g[e]) for e in elems)
+    return _checked(FnPair(induced, F, G)), elems
 
 
 def cofactor_projections(C: CoproductAlgebra, j: int, x: int) -> tuple[int, int]:

@@ -38,6 +38,7 @@ def random_poset(n: int, rng: random.Random, density: float = 0.35) -> Poset:
 
 def random_total_map(P: Poset, rng: random.Random, density: float = 0.4) -> tuple[int, ...]:
     """Arbitrary set-valued map (not necessarily valid, may miss ``x``)."""
+    _check_share("density", density)
     out = []
     for _ in range(P.n):
         m = 0

@@ -95,11 +95,15 @@ class Poset:
         """Hasse edges ``(p, q)`` with ``p < q`` and nothing strictly between."""
         out = []
         for p in range(self.n):
-            strict_up = self.up[p] & ~(1 << p)
-            for q in bits_of(strict_up):
-                if not strict_up & (self.down[q] & ~(1 << q)):
-                    out.append((p, q))
-        out.sort()
+            # each q still above p, in ascending order, drops everything
+            # strictly above it; no cover is ever dropped, so what remains
+            # is exactly the covers of p
+            above = rest = self.up[p] & ~(1 << p)
+            while rest:
+                low = rest & -rest
+                above &= ~self.up[low.bit_length() - 1] | low
+                rest = above & -(low << 1)
+            out.extend((p, q) for q in bits_of(above))
         return out
 
     def __repr__(self):
@@ -129,20 +133,22 @@ def _poset_from_up_rows(n: int, rows: list[int], labels=None) -> Poset:
     for x in range(n):
         if not rows[x] >> x & 1:
             raise NotReflexive(x)
+    down = [0] * n
     for x in range(n):
-        for y in bits_of(rows[x] & ~(1 << x)):
-            if rows[y] >> x & 1:
-                raise NotAntisymmetric(*sorted((x, y)))
+        for y in bits_of(rows[x]):
+            down[y] |= 1 << x
+    # the least x in a cycle pairs with the least y on both sides of it: a
+    # partner below x would have been caught at that partner
+    for x in range(n):
+        both = rows[x] & down[x] & ~(1 << x)
+        if both:
+            raise NotAntisymmetric(x, (both & -both).bit_length() - 1)
     for x in range(n):
         for y in bits_of(rows[x]):
             missing = rows[y] & ~rows[x]
             if missing:
                 z = (missing & -missing).bit_length() - 1
                 raise NotTransitive(x, y, z)
-    down = [0] * n
-    for x in range(n):
-        for y in bits_of(rows[x]):
-            down[y] |= 1 << x
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
@@ -156,7 +162,9 @@ def poset_from_covers(
     """Build a poset from Hasse/cover edges ``lo < hi``.
 
     The reflexive-transitive closure is computed first and then validated,
-    so a cyclic edge list is reported as an antisymmetry failure.
+    so a cyclic edge list is reported as an antisymmetry failure.  Each row
+    grows in one pass: ``work`` holds only the elements newly reached, so
+    every element the row reaches is visited once.
     """
     check_poset_size(n)
     rows = [1 << x for x in range(n)]
@@ -164,16 +172,15 @@ def poset_from_covers(
         if not (0 <= lo < n and 0 <= hi < n):
             raise IndexOutOfRange(f"cover edge ({lo}, {hi}) out of range")
         rows[lo] |= 1 << hi
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            acc = rows[x]
-            for y in bits_of(acc):
-                acc |= rows[y]
-            if acc != rows[x]:
-                rows[x] = acc
-                changed = True
+    for x in range(n):
+        acc = rows[x]
+        work = acc & ~(1 << x)
+        while work:
+            low = work & -work
+            new = rows[low.bit_length() - 1] & ~acc
+            acc |= new
+            work = work ^ low | new
+        rows[x] = acc
     return _poset_from_up_rows(n, rows, labels)
 
 

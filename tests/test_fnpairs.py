@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fnlab.errors import (
     IndexOutOfRange,
+    InvalidArgument,
     MapNotTotal,
     NotComparable,
     NotPermutation,
@@ -23,6 +24,12 @@ from fnlab.fnmaps import (
 )
 from fnlab.gen import random_poset, random_total_map, random_valid_pair
 from fnlab.poset import antichain, bits_of, chain, diamond
+
+
+@pytest.mark.parametrize("density", [float("nan"), -0.1, 1.5])
+def test_random_total_map_refuses_density_outside_unit_interval(density):
+    with pytest.raises(InvalidArgument):
+        random_total_map(chain(3), random.Random(0), density)
 
 
 class TestVerifySingle:

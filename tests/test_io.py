@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fnlab import serialize as ser
 from fnlab.boolalg import (
+    BooleanAlgebra,
     coproduct,
     exponential,
     generated_subalgebra,
@@ -176,6 +177,13 @@ class TestAlgebraRoundTrip:
         E = exponential(powerset_algebra(2))
         back = ser.algebra_from_obj(ser.algebra_to_obj(E))
         assert back == E
+
+    def test_carrier_without_provenance(self):
+        A = BooleanAlgebra(2, [0, 3])
+        text = ser.dumps(ser.algebra_to_obj(A))
+        back = ser.algebra_from_obj(ser.loads(text))
+        assert back == A and back.size == 2
+        assert ser.dumps(ser.algebra_to_obj(back)) == text
 
     def test_element_count_header(self):
         obj = ser.algebra_to_obj(interval_algebra(3))

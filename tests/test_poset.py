@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fnlab.errors import (
     DomainMismatch,
+    FnLabError,
     IndexOutOfRange,
     NotAntisymmetric,
     NotMonotone,
@@ -20,6 +21,7 @@ from fnlab.poset import (
     Poset,
     SubsetView,
     antichain,
+    bits_of,
     chain,
     check_retraction,
     cofinality_below,
@@ -49,6 +51,119 @@ def naive_axiom_check(matrix):
                 if matrix[x][y] and matrix[y][z] and not matrix[x][z]:
                     return False
     return True
+
+
+def fixpoint_closure(n, covers):
+    """Reference closure: rerun every row until no row grows."""
+    rows = [1 << x for x in range(n)]
+    for lo, hi in covers:
+        rows[lo] |= 1 << hi
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            acc = rows[x]
+            for y in bits_of(acc):
+                acc |= rows[y]
+            if acc != rows[x]:
+                rows[x] = acc
+                changed = True
+    return rows
+
+
+def pairwise_axioms(n, rows):
+    """Reference axiom scan over every comparable pair; the down rows."""
+    for x in range(n):
+        if not rows[x] >> x & 1:
+            raise NotReflexive(x)
+    for x in range(n):
+        for y in bits_of(rows[x] & ~(1 << x)):
+            if rows[y] >> x & 1:
+                raise NotAntisymmetric(*sorted((x, y)))
+    for x in range(n):
+        for y in bits_of(rows[x]):
+            for z in bits_of(rows[y]):
+                if not rows[x] >> z & 1:
+                    raise NotTransitive(x, y, z)
+    return [sum(1 << x for x in range(n) if rows[x] >> y & 1) for y in range(n)]
+
+
+def pairwise_covers(n, up, down):
+    """Reference Hasse edges: test every comparable pair for an element
+    strictly between, then sort."""
+    out = []
+    for p in range(n):
+        strict_up = up[p] & ~(1 << p)
+        for q in bits_of(strict_up):
+            if not strict_up & down[q] & ~(1 << q):
+                out.append((p, q))
+    out.sort()
+    return out
+
+
+def reference_order(n, rows):
+    """``(up, down, covers)`` by the reference recipes, or the error."""
+    try:
+        down = pairwise_axioms(n, rows)
+    except FnLabError as e:
+        return type(e), str(e)
+    return tuple(rows), tuple(down), pairwise_covers(n, rows, down)
+
+
+def built_order(build, *args):
+    try:
+        P = build(*args)
+    except FnLabError as e:
+        return type(e), str(e)
+    return P.up, P.down, P.covers()
+
+
+def check_against_references(n, pairs, diagonal):
+    """A cover list and a relation matrix over the same pairs (the matrix
+    keeps the diagonal where ``diagonal`` says) build what the references
+    build, or fail the same way."""
+    assert built_order(poset_from_covers, n, pairs) == reference_order(
+        n, fixpoint_closure(n, pairs)
+    )
+    rows = [diagonal[x] << x for x in range(n)]
+    for lo, hi in pairs:
+        rows[lo] |= 1 << hi
+    matrix = [[rows[x] >> y & 1 for y in range(n)] for x in range(n)]
+    assert built_order(validate_poset, matrix) == reference_order(n, rows)
+
+
+class TestAgainstReferences:
+    """The one-pass closure, antisymmetry and Hasse edges against the
+    fixpoint closure, the pairwise axiom scan and the pairwise covers test."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(14)
+        for _ in range(1500):
+            n = rng.randint(0, 7)
+            # up to 2n random edges: cycles and self-loops included
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            diagonal = [int(rng.random() < 0.97) for _ in range(n)]
+            check_against_references(n, pairs, diagonal)
+
+    def test_random_posets(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            P = random_poset(rng.randint(0, 7), rng, rng.random())
+            assert built_order(poset_from_covers, P.n, P.covers()) == reference_order(
+                P.n, fixpoint_closure(P.n, P.covers())
+            )
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14),
+                st.lists(st.sampled_from((1, 1, 1, 0)), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_property(self, case):
+        check_against_references(*case)
 
 
 class TestValidate:

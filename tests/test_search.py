@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnlab import serialize as ser
+from fnlab.cli import main
 from fnlab.errors import BudgetExceeded, SizeExceeded
 from fnlab.fnmaps import (
     FnPair,
@@ -28,7 +30,7 @@ from fnlab.oracle import (
     enumerate_posets,
     reference_valid_pair,
 )
-from fnlab.poset import antichain, bits_of, chain, diamond
+from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
 
 # Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
 # model of the same problem, solved separately, gave the same points, except
@@ -280,6 +282,31 @@ class TestFrontier:
                 assert not feasible(P, (a, b - 1))
             if a > 1:
                 assert not feasible(P, (a - 1, b))
+
+
+CAP_CUT = "1511640 candidate sets of size 12 exceed cap 1048576"
+
+
+class TestCapCutWalk:
+    """A walk the candidate cap cuts short keeps the rows it confirmed.
+    Both tests walk the 20-element star; the second reuses the candidate
+    tables the first one built."""
+
+    star = poset_from_covers(20, [(0, i) for i in range(1, 20)])
+
+    def test_size_exceeded_carries_partial(self):
+        with pytest.raises(SizeExceeded) as e:
+            frontier(self.star)
+        assert type(e.value) is SizeExceeded and str(e.value) == CAP_CUT
+        assert e.value.partial == ((1, 20), (20, 1))
+
+    def test_cli_prints_confirmed_rows(self, tmp_path, capsys):
+        path = tmp_path / "star.json"
+        path.write_text(ser.dumps(ser.poset_to_obj(self.star)))
+        assert main(["frontier", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == f"1,20\n20,1\n# inconclusive: {CAP_CUT}\n"
+        assert captured.err == f"error: {CAP_CUT}\n"
 
 
 class TestBeyondOracle:

@@ -129,6 +129,38 @@ class TestSubalgebraView:
             assert oa <= pa * deg and ob <= pb * deg
 
 
+def relocal_recipe(pair, view):
+    """Reference images of ``transport_subalgebra``: each image is the union
+    of the maximal view members below its elements, in ambient indices,
+    moved to local indices afterwards."""
+    Q = pair.poset
+    elems = tuple(sorted(view.members))
+    pos = {e: k for k, e in enumerate(elems)}
+
+    def trace_max(q):
+        trace = [e for e in elems if Q.leq(e, q)]
+        return {e for e in trace if not any(d != e and Q.leq(e, d) for d in trace)}
+
+    def relocal(ambient):
+        return sum(1 << pos[e] for e in ambient)
+
+    return tuple(
+        tuple(relocal(set().union(*map(trace_max, bits_of(m[e])))) for e in elems)
+        for m in (pair.f, pair.g)
+    )
+
+
+def test_subalgebra_images_match_relocal_recipe():
+    rng = random.Random(43)
+    for _ in range(40):
+        Q = random_poset(rng.randint(1, 9), rng)
+        pair = random_valid_pair(Q, rng)
+        view = random_subset_view(Q, rng)
+        out, elems = transport_subalgebra(pair, view)
+        assert (out.poset, elems) == view.as_poset()
+        assert (out.f, out.g) == relocal_recipe(pair, view)
+
+
 class TestCofactorProjections:
     def test_element_of_the_cofactor_is_fixed(self):
         C = coproduct([powerset_algebra(2)] * 2)
