@@ -2,9 +2,10 @@
 
 Every algebra lives inside the powerset of a finite atom set: an element is
 the bitmask of the atoms below it, so meet/join/complement are single word
-operations (exact finite Stone duality).  A proper subalgebra carries an
-explicit sorted ``carrier`` tuple; full powersets keep their elements
-implicit.  All values are immutable after construction.
+operations (exact finite Stone duality).  Every algebra's ``carrier`` is
+the ascending sequence of its element masks: ``range(2**k)`` for a powerset,
+a listed tuple otherwise; algebras are equal when their atom counts and
+element sets are.  All values are immutable after construction.
 
 Constructions provided: powerset, generated subalgebra, interval algebra,
 tree algebra, coproduct (free product), and the exponential (the clopen
@@ -25,6 +26,7 @@ order (``as_poset``) obeys the poset cap ``MAX_ELEMENTS``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -96,11 +98,13 @@ def _unions(blocks) -> tuple[int, ...]:
 class BooleanAlgebra:
     """A subalgebra of the powerset of ``k`` atoms.
 
-    ``carrier`` is ``None`` for the full powerset, else the sorted tuple of
-    element masks (which must contain 0 and 1 and be closed under the three
-    operations).  ``provenance`` records how the algebra was constructed
-    (by default a powerset, or a subalgebra when there is a carrier); it
-    does not affect equality.
+    Pass ``carrier=None`` for the full powerset, else the element masks
+    (which must contain 0 and 1 and be closed under the three operations).
+    Either way ``self.carrier`` is the ascending sequence of element masks:
+    ``range(2**k)`` for the powerset, the sorted tuple otherwise.
+    ``provenance`` records how the algebra was constructed (by default a
+    powerset, or a subalgebra when there is a carrier); it does not affect
+    equality, which is by element set.
     """
 
     def __init__(self, k: int, carrier=None, provenance=None, _validate=True):
@@ -117,13 +121,13 @@ class BooleanAlgebra:
         self.k = k
         self.one = (1 << k) - 1
         self.zero = 0
-        self.carrier = tuple(sorted(carrier)) if carrier is not None else None
+        self.carrier = range(1 << k) if carrier is None else tuple(sorted(carrier))
         self.provenance = provenance or (
             {"kind": "powerset", "atoms": k} if carrier is None
             else {"kind": "subalgebra", "atoms": k, "generators": []}
         )
         self._poset = None
-        if self.carrier is not None and _validate:
+        if carrier is not None and _validate:
             self._validate_carrier()
 
     def _validate_carrier(self):
@@ -150,32 +154,23 @@ class BooleanAlgebra:
 
     @property
     def size(self) -> int:
-        return len(self.carrier) if self.carrier is not None else 1 << self.k
+        return len(self.carrier)
 
     def elements(self):
-        if self.carrier is not None:
-            return iter(self.carrier)
-        return iter(range(1 << self.k))
+        return iter(self.carrier)
 
     def element_mask(self, index: int) -> int:
-        return self.carrier[index] if self.carrier is not None else index
+        return self.carrier[index]
 
     def element_index(self, mask: int) -> int:
-        if self.carrier is None:
-            if mask >> self.k:  # negative masks too
-                raise InvalidArgument(f"mask {mask} is not an element of the algebra")
-            return mask
-        import bisect
-
-        i = bisect.bisect_left(self.carrier, mask)
+        i = bisect_left(self.carrier, mask)
         if i == len(self.carrier) or self.carrier[i] != mask:
             raise InvalidArgument(f"mask {mask} is not an element of the algebra")
         return i
 
     def atoms(self) -> tuple[int, ...]:
-        """Minimal nonzero elements; for a carrier algebra these partition
-        the ambient atom set."""
-        if self.carrier is None:
+        """Minimal nonzero elements; they partition the ambient atom set."""
+        if self.size == 1 << self.k:
             return tuple(1 << i for i in range(self.k))
         return tuple(sorted(atom_blocks(self.k, self.carrier, self.size.bit_length() - 1)))
 
@@ -199,14 +194,16 @@ class BooleanAlgebra:
         return self._poset
 
     def __eq__(self, other):
+        """Equal element sets: both full powersets (listed or not) of the
+        same atoms, or equal carriers."""
         return (
             isinstance(other, BooleanAlgebra)
-            and self.k == other.k
-            and self.carrier == other.carrier
+            and (self.k, self.size) == (other.k, other.size)
+            and (self.size == 1 << self.k or self.carrier == other.carrier)
         )
 
     def __hash__(self):
-        return hash((self.k, self.carrier))
+        return hash((self.k, self.size))
 
     def __repr__(self):
         kind = self.provenance.get("kind", "?")
@@ -297,19 +294,16 @@ def _prefix_family(nodes: list[tuple[int, ...]]) -> list[frozenset[int]]:
     """All unions of strict initial-segment sets of tree nodes.
 
     The family is generated from the per-node strict prefix chains and
-    closed under finite union (the empty union included).
+    closed under finite union (the empty union included), one chain at a
+    time.
     """
     pos = {s: i for i, s in enumerate(nodes)}
     chains = {
         frozenset(pos[s[:i]] for i in range(len(s))) for s in nodes
     }
     family = {frozenset()}
-    frontier = set(chains)
-    while frontier:
-        family |= frontier
-        frontier = {
-            old | ch for old in family for ch in chains if old | ch not in family
-        }
+    for chain in chains:
+        family |= {f | chain for f in family}
     return sorted(family, key=lambda f: (len(f), sorted(f)))
 
 
@@ -479,7 +473,7 @@ class ExponentialAlgebra:
             provenance={"kind": "exponential", "atoms": base.size - 1},
         )
         self.base = base
-        self.points = tuple(x for x in base.elements() if x != 0)
+        self.points = tuple(base.carrier[1:])
         self.brackets = tuple(row >> 1 for row in base.as_poset().down)
         self._check_relations()
 

@@ -23,7 +23,7 @@ from ..errors import (
     NotARetraction,
     TransportDefect,
 )
-from ..poset import MonotoneMap, SubsetView, _maximal_in, bits_of, check_retraction, mask_of
+from ..poset import MonotoneMap, SubsetView, _extremal_in, bits_of, check_retraction
 from .core import FnPair, verify_pair
 
 
@@ -74,12 +74,8 @@ def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int
         raise EmptySubset("cannot transport onto an empty view")
     _require_valid(pair, "subalgebra input")
     induced, elems = A.as_poset()
-    pos = {e: k for k, e in enumerate(elems)}
     # each trace L_q in local indices, converted once
-    L = [
-        mask_of(pos[e] for e in bits_of(_maximal_in(Q, A.mask & Q.down[q])))
-        for q in range(Q.n)
-    ]
+    L = [A.local(_extremal_in(Q.up, A.mask & Q.down[q])) for q in range(Q.n)]
 
     def lift(image: int) -> int:
         out = 0
@@ -187,7 +183,7 @@ def transport_exponential(E: ExponentialAlgebra, pair: FnPair) -> FnPair:
     # complements of the atoms below b (unless 0), so the literals of x are
     # every base element other than 0 and 1.
     images = []
-    for lits in ((), [b for b in base.elements() if b not in (0, base.one)]):
+    for lits in ((), base.carrier[1:-1]):
         H = [base.element_index(h) for h in subalgebra_masks(base.k, lits)]
         images.append([
             subalgebra_index_mask(

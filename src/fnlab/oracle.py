@@ -156,7 +156,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     n = len(rows)
     P = _poset_from_up_rows(n, list(rows))
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
-    K = len(cands[0]) if n else 1
+    K = len(cands[0])
     if K**n > ORACLE_CELL_BUDGET:
         raise SizeExceeded(f"oracle tensor would need {K}**{n} cells")
     INF = 127
@@ -185,8 +185,6 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
             size = bin(S).count("1")
             need = np.where(ok & (need == INF), np.int16(size), need)
         per_element.append(need)
-    if not per_element:
-        return 0
     joint = per_element[0]
     for arr in per_element[1:]:
         joint = np.maximum(joint, arr)

@@ -253,34 +253,34 @@ class SubsetView:
     def mask(self) -> int:
         return mask_of(self.members)
 
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        """Member -> local index, members ascending."""
+        return {e: i for i, e in enumerate(sorted(self.members))}
+
+    def local(self, mask: int) -> int:
+        """The members in the ambient bitmask ``mask``, as a bitmask over
+        local indices."""
+        pos = self._pos
+        out = 0
+        for e in bits_of(mask & self.mask):
+            out |= 1 << pos[e]
+        return out
+
     def as_poset(self) -> tuple[Poset, tuple[int, ...]]:
         """Induced poset on the members plus the local->ambient index map."""
-        elems = tuple(sorted(self.members))
-        pos = {e: i for i, e in enumerate(elems)}
-        m = len(elems)
-        up = [0] * m
-        down = [0] * m
-        for a, ea in enumerate(elems):
-            for eb in bits_of(self.ambient.up[ea] & self.mask):
-                b = pos[eb]
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-        return Poset(m, tuple(up), tuple(down)), elems
+        elems = tuple(self._pos)
+        up = tuple(self.local(self.ambient.up[e]) for e in elems)
+        down = tuple(self.local(self.ambient.down[e]) for e in elems)
+        return Poset(len(elems), up, down), elems
 
 
-def _maximal_in(P: Poset, mask: int) -> int:
-    """Bitmask of maximal elements of the subset ``mask``."""
+def _extremal_in(rows: Sequence[int], mask: int) -> int:
+    """Bitmask of the elements of ``mask`` whose row meets ``mask`` only in
+    themselves: the maximal elements for up rows, the minimal for down rows."""
     out = 0
     for x in bits_of(mask):
-        if not P.up[x] & ~(1 << x) & mask:
-            out |= 1 << x
-    return out
-
-
-def _minimal_in(P: Poset, mask: int) -> int:
-    out = 0
-    for x in bits_of(mask):
-        if not P.down[x] & ~(1 << x) & mask:
+        if not rows[x] & ~(1 << x) & mask:
             out |= 1 << x
     return out
 
@@ -293,14 +293,14 @@ def cofinality_below(A: SubsetView, p: int) -> int:
     """
     A.ambient.check_index(p)
     trace = A.mask & A.ambient.down[p]
-    return _maximal_in(A.ambient, trace).bit_count()
+    return _extremal_in(A.ambient.up, trace).bit_count()
 
 
 def coinitiality_above(A: SubsetView, p: int) -> int:
     """Dual of :func:`cofinality_below` for ``A ∩ ↑p``."""
     A.ambient.check_index(p)
     trace = A.mask & A.ambient.up[p]
-    return _minimal_in(A.ambient, trace).bit_count()
+    return _extremal_in(A.ambient.down, trace).bit_count()
 
 
 def subposet_degree(A: SubsetView) -> int:

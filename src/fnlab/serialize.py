@@ -320,7 +320,6 @@ def algebra_to_obj(A) -> dict:
             obj["kap"] = prov["kap"]
         if "generators" in prov:
             obj["generators"] = list(prov["generators"])
-        if A.carrier is not None:
             obj["carrier"] = list(A.carrier)
         return obj
     raise TypeError(f"cannot serialize {type(A).__name__}")
@@ -341,11 +340,14 @@ def algebra_from_obj(obj):
             atoms, carrier, gens = _int(obj, "atoms"), obj["carrier"], obj.get("generators", [])
             if not _plain_ints(carrier) or not _plain_ints(gens):
                 raise TypeError("'carrier' and 'generators' must be lists of integers")
-            return BooleanAlgebra(
+            A = BooleanAlgebra(
                 atoms,
                 carrier=carrier,
                 provenance={"kind": "subalgebra", "atoms": atoms, "generators": gens},
             )
+            for g in gens:
+                A.element_index(g)  # membership check
+            return A
         if kind == "coproduct":
             return coproduct([_plain_algebra_from_obj(c) for c in obj["cofactors"]])
         if kind == "exponential":

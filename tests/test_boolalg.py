@@ -29,7 +29,13 @@ from fnlab.boolalg import (
     tree_algebra,
     tree_nodes,
 )
-from fnlab.errors import DegenerateCofactor, InvalidArgument, SizeExceeded, ZeroMember
+from fnlab.errors import (
+    DegenerateCofactor,
+    EmptySubset,
+    InvalidArgument,
+    SizeExceeded,
+    ZeroMember,
+)
 from fnlab.oracle import fixpoint_subalgebra
 from fnlab.poset import Poset, diamond
 
@@ -88,6 +94,58 @@ class TestPowerset:
     def test_size_cap(self):
         with pytest.raises(SizeExceeded):
             powerset_algebra(30)
+
+
+def full_forms(n: int) -> list[BooleanAlgebra]:
+    """The ``n``-atom powerset four ways: implicit, listed, as the interval
+    algebra and as the subalgebra its singletons generate."""
+    return [
+        powerset_algebra(n),
+        BooleanAlgebra(n, carrier=range(1 << n)),
+        interval_algebra(n),
+        generated_subalgebra(powerset_algebra(n), [1 << i for i in range(n)]),
+    ]
+
+
+class TestElementSetEquality:
+    """Algebras compare and hash by their element sets; provenance and the
+    way the carrier is held do not count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_forms_equal(self, n):
+        forms = full_forms(n)
+        for A in forms:
+            assert A.atoms() == tuple(1 << i for i in range(n))
+            for B in forms:
+                assert A == B and hash(A) == hash(B)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coproducts_and_exponentials_of_full_forms_equal(self, n):
+        forms = full_forms(n)
+        for A in forms:
+            for B in forms:
+                assert coproduct([A, B]) == coproduct([B, A])
+                assert exponential(A) == exponential(B)
+
+    def test_proper_subalgebras_differ(self):
+        P2, P3 = powerset_algebra(2), powerset_algebra(3)
+        assert generated_subalgebra(P2, []) != P2
+        assert generated_subalgebra(P3, [1]) != generated_subalgebra(P3, [2])
+        assert generated_subalgebra(P3, [1]) == BooleanAlgebra(3, carrier=[0, 1, 6, 7])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: powerset_algebra(2),
+            lambda: BooleanAlgebra(2, carrier=range(4)),
+            lambda: generated_subalgebra(powerset_algebra(3), [1]),
+        ],
+    )
+    def test_element_mask_past_size_raises(self, make):
+        A = make()
+        assert [A.element_mask(i) for i in range(A.size)] == list(A.elements())
+        with pytest.raises(IndexError):
+            A.element_mask(A.size)
 
 
 class TestGeneratedSubalgebra:
@@ -359,6 +417,10 @@ class TestHyperspaceBasicSets:
         E = exponential(powerset_algebra(2))
         assert hyperspace_basic_set(E, [1, 2]) == 0b100
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(EmptySubset):
+            hyperspace_basic_set(exponential(powerset_algebra(2)), [])
+
     def test_zero_member_rejected(self):
         E = exponential(powerset_algebra(2))
         with pytest.raises(ZeroMember):
@@ -457,6 +519,11 @@ class TestSizeCaps:
     def test_element_cap_in_constructor(self):
         with pytest.raises(SizeExceeded):
             BooleanAlgebra(21)
+
+    def test_carrier_length_cap_in_constructor(self):
+        # one atom keeps the carrier under the work bound: the length is refused
+        with pytest.raises(SizeExceeded, match="1048577 elements exceed cap"):
+            BooleanAlgebra(1, carrier=range(ALGEBRA_CAP + 1))
 
     def test_atom_cap_in_constructor(self):
         with pytest.raises(SizeExceeded):

@@ -74,6 +74,9 @@ def invalid_pair_file(tmp_path):
         ["transport", "exponential", "--algebra", "{e2}", "--pair", "{pair}", "--pair", "{pair}"],
         *(["gen", "poset", "--n", "3", f"--density={p}"] for p in ("nan", "-0.1", "1.5")),
         *(["gen", "pair", "{diamond}", f"--enlarge={p}"] for p in ("nan", "-0.1", "1.5")),
+        ["construct", "coproduct"],  # neither --cofactor nor --atoms-list
+        # a subalgebra file whose generators are not elements of its carrier
+        ["construct", "exponential", "--base", "{stray_generator}"],
     ],
 )
 def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):
@@ -94,6 +97,10 @@ def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):
         "identity": write(tmp_path / "id.json", ser.dumps(identity)),
         "no_image": write(tmp_path / "ni.json", json.dumps({"dom": d, "cod": d})),
         "e2": write(tmp_path / "e2.json", ser.dumps(ser.algebra_to_obj(e2))),
+        "stray_generator": write(
+            tmp_path / "sg.json",
+            '{"kind": "subalgebra", "atoms": 2, "carrier": [0, 3], "generators": [1, 99]}',
+        ),
     }
     (tmp_path / "l.json").write_bytes('{"n": 1, "labels": ["\xe9"]}'.encode("latin-1"))
     assert main([a.format(**files) for a in args]) == 2

@@ -235,3 +235,9 @@ class TestInterpolantLookup:
         pair = FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {1}])
         with pytest.raises(NoWitness):
             interpolant_lookup(pair, 0, 1)
+
+    def test_no_second_clause_witness(self):
+        # f(0) ∩ g(1) holds 0, but g(0) ∩ f(1) is empty
+        pair = FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {0}])
+        with pytest.raises(NoWitness, match=r"g\(0\) ∩ f\(1\)"):
+            interpolant_lookup(pair, 0, 1)

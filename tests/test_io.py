@@ -185,6 +185,12 @@ class TestAlgebraRoundTrip:
         assert back == A and back.size == 2
         assert ser.dumps(ser.algebra_to_obj(back)) == text
 
+    @pytest.mark.parametrize("gens", [[1, 99], [1], [-3]])
+    def test_generator_outside_carrier_refused(self, gens):
+        """Each recorded generator must be an element of the carrier."""
+        with pytest.raises(ParseError):
+            ser.algebra_from_obj({"kind": "subalgebra", "atoms": 2, "carrier": [0, 3], "generators": gens})
+
     def test_element_count_header(self):
         obj = ser.algebra_to_obj(interval_algebra(3))
         assert obj["elements"] == 8 and obj["atoms"] == 3

@@ -90,6 +90,16 @@ class TestBruteFrontier:
         with pytest.raises(SizeExceeded):
             brute_frontier(chain(6))
 
+    def test_cell_budget(self):
+        # past the size guard, the a = 3 table of a 7-chain needs 15**7 cells
+        with pytest.raises(SizeExceeded, match="cells"):
+            brute_frontier(chain(7), max_size=7)
+
+
+def test_joint_enumeration_size_guard():
+    with pytest.raises(SizeExceeded, match="3 elements"):
+        brute_pair_product_feasible(chain(4), (1, 1))
+
 
 class TestCanonicalForm:
     @pytest.mark.parametrize("n", range(6))

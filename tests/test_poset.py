@@ -318,7 +318,30 @@ class TestMonotoneMap:
             check_retraction(i, identity_map(chain(2)))
 
 
+def transpose_as_poset(A: SubsetView):
+    """Reference induced order: local up rows from the ambient up rows, the
+    down rows by transposing them as they are built."""
+    elems = tuple(sorted(A.members))
+    pos = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    down = [0] * len(elems)
+    for a, ea in enumerate(elems):
+        for eb in bits_of(A.ambient.up[ea] & A.mask):
+            b = pos[eb]
+            up[a] |= 1 << b
+            down[b] |= 1 << a
+    return len(elems), tuple(up), tuple(down), elems
+
+
 class TestSubsetViewAsPoset:
+    def test_rows_match_transpose_reference(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            P = random_poset(rng.randint(0, 12), rng, rng.random())
+            A = SubsetView(P, frozenset(x for x in range(P.n) if rng.random() < 0.5))
+            induced, elems = A.as_poset()
+            assert (induced.n, induced.up, induced.down, elems) == transpose_as_poset(A)
+
     def test_induced_chain(self):
         induced, elems = SubsetView(diamond(), frozenset({0, 1, 3})).as_poset()
         assert induced == chain(3)

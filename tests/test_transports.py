@@ -16,6 +16,8 @@ from fnlab.boolalg import (
 from fnlab.errors import (
     DomainMismatch,
     EmptySubset,
+    IndexOutOfRange,
+    InvalidArgument,
     InvalidInputPair,
     NotARetraction,
 )
@@ -70,6 +72,16 @@ class TestRetract:
         with pytest.raises(NotARetraction):
             transport_retract(trivial_pair(Q), i, j)
 
+    def test_pair_off_the_section_codomain(self):
+        i = MonotoneMap(chain(2), chain(3), (0, 2))
+        j = MonotoneMap(chain(3), chain(2), (0, 0, 1))
+        with pytest.raises(DomainMismatch):
+            transport_retract(trivial_pair(diamond()), i, j)
+
+    def test_empty_poset_has_no_blow_up(self):
+        with pytest.raises(InvalidArgument):
+            random_retraction(chain(0), random.Random(0))
+
     def test_invalid_input_rejected(self):
         Q, P = chain(3), chain(2)
         i = MonotoneMap(P, Q, (0, 2))
@@ -110,6 +122,10 @@ class TestSubalgebraView:
         assert subposet_degree(view) == 1
         out, _ = transport_subalgebra(trivial_pair(BP), view)
         assert out.poset.n == 4 and verify_pair(out).valid
+
+    def test_view_on_another_poset(self):
+        with pytest.raises(DomainMismatch):
+            transport_subalgebra(trivial_pair(diamond()), SubsetView(chain(3), frozenset({0})))
 
     def test_empty_subset_rejected(self):
         with pytest.raises(EmptySubset):
@@ -178,6 +194,12 @@ class TestCofactorProjections:
         x = C.embed(0, 1) | C.embed(1, 1)
         assert cofactor_projections(C, 0, x) == (C.base.one, C.embed(0, 1))
 
+    @pytest.mark.parametrize("j, x", [(2, 0), (-1, 0), (0, 1 << 4), (0, -1)])
+    def test_bad_cofactor_or_mask(self, j, x):
+        C = coproduct([powerset_algebra(2)] * 2)
+        with pytest.raises(IndexOutOfRange):
+            cofactor_projections(C, j, x)
+
     def test_against_both_brute_flavors(self):
         C = coproduct([powerset_algebra(2)] * 2)
         BP = C.base.as_poset()
@@ -217,6 +239,11 @@ class TestCoproductTransport:
         C = coproduct([powerset_algebra(1)] * 2)
         with pytest.raises(DomainMismatch):
             transport_coproduct(C, [trivial_pair(powerset_algebra(1).as_poset())])
+
+    def test_pair_off_the_cofactor_order(self):
+        C = coproduct([powerset_algebra(2)])
+        with pytest.raises(DomainMismatch):
+            transport_coproduct(C, [trivial_pair(chain(4))])
 
     def test_invalid_input_rejected(self):
         B = powerset_algebra(1)
