@@ -281,7 +281,16 @@ def interval_algebra(n: int) -> BooleanAlgebra:
 
 
 def tree_nodes(lam: int, kap: int) -> list[tuple[int, ...]]:
-    """All sequences over ``0..lam-1`` of length below ``kap``, shortlex order."""
+    """All sequences over ``0..lam-1`` of length below ``kap``, shortlex order.
+
+    Refuses a tree whose ``2**nodes`` colourings (the points of
+    ``tree_algebra``) exceed ``ALGEBRA_CAP`` before listing any node.
+    """
+    if lam < 0 or kap < 1:
+        raise InvalidArgument("need lam >= 0 and kap >= 1")
+    # the tree has lam**0 + ... + lam**(kap-1) nodes; levels past the cap's
+    # exponent only grow a count that is refused already
+    _check_power(sum(lam**i for i in range(min(kap, ALGEBRA_CAP.bit_length()))), "points")
     out = [()]
     level = [()]
     while level and len(level[0]) < kap - 1:
@@ -316,11 +325,6 @@ def tree_algebra(lam: int, kap: int) -> BooleanAlgebra:
     1; the generator for a family member ``I`` collects the points that
     vanish on ``I``.
     """
-    if lam < 0 or kap < 1:
-        raise InvalidArgument("need lam >= 0 and kap >= 1")
-    # the tree has lam**0 + ... + lam**(kap-1) nodes; levels past the cap's
-    # exponent only grow a count that is refused already
-    _check_power(sum(lam**i for i in range(min(kap, ALGEBRA_CAP.bit_length()))), "points")
     nodes = tree_nodes(lam, kap)
     npoints = 1 << len(nodes)
     family = _prefix_family(nodes)

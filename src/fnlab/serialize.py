@@ -6,9 +6,12 @@ bit 0 least significant) under an atom-count header.  Serialization is
 canonical (sorted keys, two-space indent, trailing newline) so equal values
 produce identical bytes.  The text comes from this module's own writer,
 which equals ``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte but
-writes whole lists of integers at C speed.  Integers may be as wide as a
-mask of ``ALGEBRA_CAP`` atoms, past the interpreter's default conversion
-limit; wider ones are a parse error.
+writes whole lists of integers at C speed.  A pair object holds one index
+list per distinct image, and the writer renders each such list once per
+indent, so equal images cost one lookup after the first; a list of
+integer records (verdict interpolants) is written through one template.
+Integers may be as wide as a mask of ``ALGEBRA_CAP`` atoms, past the
+interpreter's default conversion limit; wider ones are a parse error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from itertools import compress
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
 
 from .boolalg import (
@@ -55,25 +59,39 @@ _escape = json.encoder.encode_basestring_ascii
 _INDEX_TEXT = list(map(str, range(MAX_ELEMENTS)))
 
 
-def _write(o, pad: str, out: list) -> None:
+def _write(o, pad: str, out: list, memo: dict) -> None:
     """Append ``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it
-    at indent ``pad``; leaves it does not special-case go to ``json.dumps``."""
+    at indent ``pad``; leaves it does not special-case go to ``json.dumps``.
+    ``memo`` maps ``(id(list), pad)`` to a list of plain ints written
+    earlier in this call and its text; holding the list keeps its id from
+    being reused while the call runs."""
     if type(o) is int:
         out.append(str(o))
     elif isinstance(o, str):
         out.append(_escape(o))
     elif isinstance(o, (list, tuple)) and o:
+        seen = memo.get((id(o), pad))
+        if seen is not None:
+            out.append(seen[1])
+            return
         inner = pad + "  "
         sep = ",\n" + inner
-        out.append("[\n" + inner)
         if set(map(type, o)) == {int}:
-            text = _INDEX_TEXT.__getitem__ if 0 <= min(o) and max(o) < MAX_ELEMENTS else str
-            out.append(sep.join(map(text, o)))
+            digits = _INDEX_TEXT.__getitem__ if 0 <= min(o) and max(o) < MAX_ELEMENTS else str
+            text = "[\n" + inner + sep.join(map(digits, o)) + "\n" + pad + "]"
+            memo[id(o), pad] = o, text
+            out.append(text)
+            return
+        out.append("[\n" + inner)
+        records = _record_template(o, inner)
+        if records is not None:
+            template, fields = records
+            out.append(sep.join(map(template.__mod__, map(fields, o))))
         else:
             for i, x in enumerate(o):
                 if i:
                     out.append(sep)
-                _write(x, inner, out)
+                _write(x, inner, out, memo)
         out.append("\n" + pad + "]")
     elif isinstance(o, dict) and o:
         inner = pad + "  "
@@ -82,10 +100,28 @@ def _write(o, pad: str, out: list) -> None:
             if i:
                 out.append(",\n" + inner)
             out.append(_escape(k if isinstance(k, str) else _key_text(k)) + ": ")
-            _write(v, inner, out)
+            _write(v, inner, out, memo)
         out.append("\n" + pad + "}")
     else:
         out.append(json.dumps(o))
+
+
+def _record_template(o: list, pad: str):
+    """For a list of dicts with one set of ``str`` keys and plain-int values,
+    the ``%`` template of one record at indent ``pad`` and the getter of its
+    values in key order; otherwise ``None``."""
+    first = o[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    keys = first.keys()
+    if not all(type(r) is dict and r.keys() == keys for r in o):
+        return None
+    if set(map(type, chain.from_iterable(map(dict.values, o)))) != {int}:
+        return None
+    names = sorted(keys)
+    inner = pad + "  "
+    body = (",\n" + inner).join(_escape(k).replace("%", "%%") + ": %d" for k in names)
+    return "{\n" + inner + body + "\n" + pad + "}", itemgetter(*names)
 
 
 def _key_text(k) -> str:
@@ -97,7 +133,7 @@ def _key_text(k) -> str:
 def dumps(obj) -> str:
     out: list[str] = []
     with _mask_digits():
-        _write(obj, "", out)
+        _write(obj, "", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -155,10 +191,13 @@ def _indices(mask: int) -> list[int]:
 
 
 def pair_to_obj(pair: FnPair) -> dict:
+    """The pair as JSON data.  Equal images share one index list, so the
+    object is read-only."""
+    lists = {m: _indices(m) for m in {*pair.f, *pair.g}}
     return {
         "poset": poset_to_obj(pair.poset),
-        "f": list(map(_indices, pair.f)),
-        "g": list(map(_indices, pair.g)),
+        "f": list(map(lists.__getitem__, pair.f)),
+        "g": list(map(lists.__getitem__, pair.g)),
     }
 
 

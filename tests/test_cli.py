@@ -617,6 +617,18 @@ def test_tree_past_work_bound_exit_three_fast():
     assert wall < 2
 
 
+def test_tree_nodes_past_cap_refused_fast():
+    """A direct ``tree_nodes(20, 21)`` call, with no ``tree_algebra`` in
+    front of it: refused from the node count before any level is listed."""
+    proc, wall = run_child(
+        [], prelude="from fnlab.boolalg import tree_nodes; tree_nodes(20, 21)",
+        memory=2 << 30, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("fnlab.errors.SizeExceeded: "), proc.stderr
+    assert wall < 2
+
+
 class TestCarrierFile:
     """A 2^16-element carrier over 24 atoms: the unions of 16 seeded blocks."""
 

@@ -219,8 +219,56 @@ JSON_VALUES = st.recursive(
 )
 
 
+# record keys the writer's template must escape, or must not read as a format
+RECORD_KEYS = st.text(max_size=3) | st.sampled_from(
+    ["p", "q", "r", "s", 'a"b', "%", "%d", "%(p)s", "{", "{p}", ""]
+)
+INTS = st.integers(0, 4095) | st.integers(-(10**30), 10**30)
+ODD_VALUES = st.booleans() | st.none() | st.floats() | st.text(max_size=3)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree that holds the same list objects at several places and
+    indents: an int list (as a pair's shared image) and a mixed one."""
+    ints = draw(st.lists(INTS, min_size=1, max_size=6))
+    mixed = draw(st.lists(INTS | ODD_VALUES, min_size=1, max_size=4))
+    leaves = st.sampled_from([ints, mixed, tuple(ints)]) | INTS | ODD_VALUES
+    tree = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+        max_leaves=20,
+    )
+    return {"ints": ints, "again": [ints, [ints]], "tree": draw(tree)}
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts: one key set or mixed ones, int values or any, and
+    records nested inside records."""
+    keys = draw(st.lists(RECORD_KEYS, max_size=4, unique=True))
+    one_key_set = draw(st.booleans())
+    values = INTS
+    if draw(st.booleans()):
+        values = INTS | ODD_VALUES | st.dictionaries(RECORD_KEYS, INTS, max_size=3)
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        own = keys if one_key_set else [k for k in keys if draw(st.booleans())]
+        records.append({k: draw(values) for k in own})
+    return records
+
+
 class TestWriter:
     """``dumps`` is ``json.dumps(sort_keys=True, indent=2)`` plus a newline."""
+
+    @given(shared_trees())
+    def test_shared_lists(self, obj):
+        assert ser.dumps(obj) == reference(obj)
+
+    @given(record_lists())
+    def test_record_lists(self, records):
+        obj = {"records": records, "nested": [records, {"in": [{"p": 1, "rec": records}]}]}
+        assert ser.dumps(obj) == reference(obj)
 
     @given(JSON_VALUES)
     def test_equals_json_dumps(self, obj):
@@ -246,6 +294,13 @@ class TestWriter:
             {"b": 1, "a": {"z": [], "y": {}}},
             {2: "int keys", 10: None, -1: [True]},
             {True: 0, False: 1},
+            [{"p": 1}, {"p": 2}],
+            [{"%": 1, '"': 2, "{": 3}, {"%": 4, '"': 5, "{": 6}],
+            [{"a": 1}, {"b": 2}],
+            [{"a": 1, "b": True}],
+            [{"a": 1}, {}],
+            [{}, {}],
+            [{"a": 2**70, "b": -1}],
             "top-level string",
             7,
             None,
@@ -275,8 +330,17 @@ def test_pair_index_lists_match_bits_of():
     n = 512
     rng = random.Random(7)
     masks = [0, 1, 1 << (n - 1), (1 << n) - 1]
-    masks += [rng.getrandbits(rng.randrange(1, n + 1)) for _ in range(2 * n - len(masks))]
+    masks += [rng.getrandbits(rng.randrange(1, n + 1)) for _ in range(n - len(masks))]
+    masks += rng.choices(masks, k=n)  # every mask again, some many times, in f and in g
+    rng.shuffle(masks)
     pair = FnPair(poset_from_covers(n, []), tuple(masks[:n]), tuple(masks[n:]))
     obj = ser.pair_to_obj(pair)
     assert obj["f"] == [list(bits_of(m)) for m in pair.f]
     assert obj["g"] == [list(bits_of(m)) for m in pair.g]
+    # equal masks share one list object, distinct masks do not
+    lists = {}
+    for m, image in zip(masks, obj["f"] + obj["g"]):
+        assert lists.setdefault(m, image) is image
+    assert len({id(image) for image in lists.values()}) == len(set(masks))
+    assert ser.pair_from_obj(obj) == pair
+    assert ser.pair_from_obj(ser.loads(ser.dumps(obj))) == pair
