@@ -3,9 +3,10 @@
 Every algebra lives inside the powerset of a finite atom set: an element is
 the bitmask of the atoms below it, so meet/join/complement are single word
 operations (exact finite Stone duality).  Every algebra's ``carrier`` is
-the ascending sequence of its element masks: ``range(2**k)`` for a powerset,
-a listed tuple otherwise; algebras are equal when their atom counts and
-element sets are.  All values are immutable after construction.
+the ascending sequence of its element masks: ``range(2**k)`` for a powerset
+(the interval algebra is one), a listed tuple otherwise; algebras are equal
+when their atom counts and element sets are.  All values are immutable
+after construction.
 
 Constructions provided: powerset, generated subalgebra, interval algebra,
 tree algebra, coproduct (free product), and the exponential (the clopen
@@ -264,19 +265,16 @@ def interval_mask(alpha: int, beta: int) -> int:
 def interval_algebra(n: int) -> BooleanAlgebra:
     """Algebra of finite unions of half-open intervals of the chain ``0..n-1``.
 
-    For finite ``n`` the closure of the intervals is the whole powerset; the
-    nonempty generators ``[alpha, beta)`` with ``alpha < beta <= n`` are kept
-    in the provenance for experiments.
+    Every singleton ``[a, a+1)`` is an interval, so for finite ``n`` this is
+    the whole powerset; the nonempty generators ``[alpha, beta)`` with
+    ``alpha < beta <= n`` are kept in the provenance for experiments.
     """
     if n < 0:
         raise InvalidArgument(f"interval chain length {n} is negative")
-    _check_power(n, "elements")
+    _check_power(n, "elements")  # before the n(n+1)/2 generators are listed
     gens = [interval_mask(a, b) for a in range(n) for b in range(a + 1, n + 1)]
     return BooleanAlgebra(
-        n,
-        subalgebra_masks(n, gens),
-        provenance={"kind": "interval", "n": n, "atoms": n, "generators": gens},
-        _validate=False,
+        n, provenance={"kind": "interval", "n": n, "atoms": n, "generators": gens}
     )
 
 

@@ -178,7 +178,7 @@ def cmd_search(args) -> int:
 def cmd_frontier(args) -> int:
     P = ser.poset_from_obj(ser.load_file(args.poset))
     try:
-        fr = frontier(P, args.budget, workers=args.workers)
+        fr = frontier(P, args.budget)
     except SizeExceeded as e:  # a budget or cap cut: the confirmed rows still go out
         _emit(ser.frontier_to_csv(Frontier(e.partial), e), args.output)
         raise
@@ -221,8 +221,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.sub_seed if args.sub_seed is not None else args.seed
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     if args.gen_cmd == "poset":
         P = random_poset(args.n, rng, args.density)
         _emit(ser.dumps(ser.poset_to_obj(P)), args.output)
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fnlab",
         description="finite laboratory for two-sided interpolation pairs",
     )
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for gen")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--output")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frontier", parents=[out], help="Pareto frontier of feasible capacities")
     p.add_argument("poset")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(run=cmd_frontier)
 
     p = sub.add_parser("construct", parents=[out], help="build an algebra file")
@@ -298,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = gsub.add_parser("poset", parents=[out])
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--density", type=float, default=0.35)
-    q.add_argument("--seed", type=int, dest="sub_seed", default=None)
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q = gsub.add_parser("pair", parents=[out])
     q.add_argument("poset")
     q.add_argument("--enlarge", type=float, default=0.25)
-    q.add_argument("--seed", type=int, dest="sub_seed", default=None)
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=cmd_gen)
 
     return ap

@@ -153,38 +153,34 @@ def search_pair(
                         pending.append(u)
         return True
 
-    nodes = 0
-
-    def children(dom: list[int], free: list[int]):
-        """Arc-consistent children: each value of the slot with fewest left."""
-        nonlocal nodes
-        u = min(free, key=lambda s: dom[s].bit_count())
-        rest = [s for s in free if s != u]
-        for i in bits_of(dom[u]):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(nodes, node_budget)
-            child = dom.copy()
-            child[u] = 1 << i
-            if revise(child, [u]):
-                yield child, rest
-
     # a slot's candidates are the sets holding its element
     dom = [c[u >> 1] for u, c in enumerate(contains)]
     if not revise(dom, list(range(2 * n))):
         return None
-    # depth first over an explicit stack of child generators, one per
-    # assigned slot, so the depth is not bounded by the recursion limit
-    stack = [children(dom, list(range(2 * n)))]
+    # depth first over explicit frames (domains, slots still free, the slot
+    # branched on, its values not yet tried as a bitmask), so the depth is not
+    # bounded by the recursion limit
+    nodes = 0
+    free = list(range(2 * n))
+    u = min(free, key=lambda s: dom[s].bit_count())
+    stack = [(dom, [s for s in free if s != u], u, dom[u])]
     while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-        elif step[1]:
-            stack.append(children(*step))
-        else:
-            images = [c[d.bit_length() - 1] for c, d in zip(cands, step[0])]
+        dom, free, u, untried = stack.pop()
+        value = untried & -untried
+        if untried != value:
+            stack.append((dom, free, u, untried ^ value))
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded(nodes, node_budget)
+        child = dom.copy()
+        child[u] = value
+        if not revise(child, [u]):
+            continue
+        if not free:
+            images = [c[d.bit_length() - 1] for c, d in zip(cands, child)]
             return FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
+        u = min(free, key=lambda s: child[s].bit_count())
+        stack.append((child, [s for s in free if s != u], u, child[u]))
     return None
 
 
@@ -220,9 +216,9 @@ def frontier(
 
     Feasibility is monotone in both capacities and symmetric under swapping
     them, so the walk only descends the boundary for ``a`` up to the
-    diagonal and mirrors the result.  The walk is sequential; ``workers``
-    is accepted for compatibility and every positive value gives the same
-    result.
+    diagonal and mirrors the result.  ``workers`` has no effect beyond
+    being checked to be at least 1; it stays only because the benchmark's
+    ``frontier`` and ``oracle`` workloads still pass ``workers=1``.
     When the budget or the candidate cap cuts the walk short, the
     :class:`SizeExceeded` (or :class:`BudgetExceeded`) carries the boundary
     points confirmed so far as ``partial``.

@@ -1,8 +1,8 @@
 """Seeded random generators for posets, maps, pairs and retractions.
 
 Everything is driven by an explicit :class:`random.Random` so runs are
-reproducible bit for bit; the CLI threads its global ``--seed`` through
-here.
+reproducible bit for bit; the CLI's ``gen poset`` and ``gen pair`` seed it
+from their ``--seed`` (default ``DEFAULT_SEED``).
 """
 
 from __future__ import annotations

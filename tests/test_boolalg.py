@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fnlab
 from fnlab import boolalg, poset
+from fnlab import serialize as ser
 from fnlab.boolalg import (
     ALGEBRA_CAP,
     BooleanAlgebra,
@@ -209,6 +210,23 @@ class TestIntervalAlgebra:
     def test_closure_is_full_powerset(self):
         for n in range(1, 6):
             assert interval_algebra(n).size == 1 << n
+
+    def test_same_as_listed_closure(self):
+        """The powerset equals the closure of its generators, listed, and
+        writes the same file bytes."""
+        for n in range(17):
+            A = interval_algebra(n)
+            gens = A.provenance["generators"]
+            listed = BooleanAlgebra(n, subalgebra_masks(n, gens), provenance=A.provenance)
+            assert A == listed
+            assert ser.dumps(ser.algebra_to_obj(A)) == ser.dumps(ser.algebra_to_obj(listed))
+
+    def test_size_cap_before_generators(self):
+        # a million-point chain has about 5 * 10^11 generators to list
+        t = time.perf_counter()
+        with pytest.raises(SizeExceeded):
+            interval_algebra(10**6)
+        assert time.perf_counter() - t < 0.5
 
 
 class TestTreeAlgebra:

@@ -13,7 +13,7 @@ import pytest
 import fnlab
 from fnlab import serialize as ser
 from fnlab.boolalg import coproduct, exponential, powerset_algebra
-from fnlab.cli import main
+from fnlab.cli import build_parser, main
 from fnlab.errors import TransportDefect
 from fnlab.fnmaps import FnPair, Verdict, trivial_pair
 from fnlab.poset import MonotoneMap, chain, diamond
@@ -60,8 +60,8 @@ def invalid_pair_file(tmp_path):
         ["verify", "{latin1}"],
         ["search", "{diamond}", "--cap", "2,2", "--budget", "-1"],
         ["frontier", "{diamond}", "--budget", "-1"],
-        ["frontier", "{diamond}", "--workers", "-3"],
-        ["frontier", "{diamond}", "--workers", "0"],
+        ["search", "{diamond}", "--cap", "2,x"],
+        ["transport", "subalgebra", "--pair", "{pair}", "--members", "0,99"],
         ["frontier", "{cover_past_n}"],
         ["frontier", "{text_labels}"],
         ["construct", "exponential", "--base", "{empty}"],
@@ -105,6 +105,31 @@ def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):
     (tmp_path / "l.json").write_bytes('{"n": 1, "labels": ["\xe9"]}'.encode("latin-1"))
     assert main([a.format(**files) for a in args]) == 2
     assert assert_one_error_line(capsys) == ""
+
+
+@pytest.mark.parametrize(
+    "args", [["frontier", "p.json", "--workers", "2"], ["--seed", "9", "gen", "poset", "--n", "5"]]
+)
+def test_removed_option_exit_two(args):
+    with pytest.raises(SystemExit) as e:
+        main(args)
+    assert e.value.code == 2
+
+
+def test_readme_commands_parse():
+    """Every ``fnlab`` line of the README's command-line block parses, with
+    brackets and comments dropped and placeholders such as ``N`` set."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fnlab ")]
+    assert len(lines) > 10
+    parser = build_parser()
+    for line in lines:
+        words = line.split("#")[0].replace("[", " ").replace("]", " ").split()[1:]
+        try:
+            parser.parse_args(["1" if w.isupper() else w for w in words])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 class TestVerify:
@@ -226,12 +251,12 @@ class TestFrontier:
         assert main(["frontier", write(tmp_path / "p.json", text)]) == 2
         assert assert_one_error_line(capsys) == ""
 
-    def test_budget_outcome_same_for_every_worker_count(self, tmp_path, capsys):
+    def test_budget_outcome_same_on_repeat(self, tmp_path, capsys):
         assert main(["gen", "poset", "--n", "8", "--seed", "3"]) == 0
         f = write(tmp_path / "p8.json", capsys.readouterr().out)
         outs = []
-        for w in ("1", "2"):
-            assert main(["frontier", f, "--workers", w, "--budget", "5"]) == 3
+        for _ in range(2):
+            assert main(["frontier", f, "--budget", "5"]) == 3
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert "# inconclusive" in outs[0]
@@ -502,12 +527,6 @@ class TestGen:
         # refused before drawing 5 * 10^13 candidate edges
         assert main(["gen", "poset", "--n", "10000000"]) == 3
         assert assert_one_error_line(capsys) == ""
-
-    def test_global_seed_position(self, capsys):
-        assert main(["--seed", "9", "gen", "poset", "--n", "5"]) == 0
-        first = capsys.readouterr().out
-        assert main(["gen", "poset", "--n", "5", "--seed", "9"]) == 0
-        assert capsys.readouterr().out == first
 
     def test_pair_is_valid(self, diamond_file, capsys):
         assert main(["gen", "pair", diamond_file, "--seed", "4"]) == 0
