@@ -7,10 +7,10 @@ be fast beyond desk scale.
 
 Feasibility does not depend on labels, so the feasibility tables are cached
 per isomorphism class: each is keyed on a canonical relabeling of the poset
-(:func:`_canonical_rows`), and the 4231 labeled 5-element posets need only
-63 classes' tables.  numpy (the ``oracle`` extra) is imported by the table
-builder alone, so that importing this module (and the CLI) stays cheap and
-works without it.
+(:func:`_canonical_rows`) and the capacity, and the 4231 labeled 5-element
+posets need only 63 classes' tables per capacity.  numpy (the ``oracle``
+extra) is imported by the table builder alone, so that importing this module
+(and the CLI) stays cheap and works without it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .fnmaps.core import CapacityPair
 from .poset import Poset, SubsetView, _poset_from_up_rows, bits_of, check_poset_size
 
 ORACLE_MAX_ELEMENTS = 5
-ORACLE_CELL_BUDGET = 2**24
+ORACLE_CELL_BUDGET = 2**25
 
 # Labeled poset counts, confirmed by the enumeration itself (test suite)
 # before being relied on as a regression value.
@@ -143,10 +143,19 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
 
     For a fixed ``f`` the two interpolation clauses decompose per element:
     ``g(x)`` must hit ``f(p) ∩ [p, x]`` for every ``p <= x`` and
-    ``f(q) ∩ [x, q]`` for every ``q >= x``.  The tensor holds, per element,
-    the least hitting-set size as a function of the relevant ``f`` choices;
-    broadcasting the elementwise maximum over the joint ``f`` space and
-    taking the minimum is therefore an exhaustive sweep of all pairs.
+    ``f(q) ∩ [x, q]`` for every ``q >= x``.  Each element ``x`` gets one
+    boolean tensor: an axis of ``f`` choices per element comparable to
+    ``x`` (length 1 for the others), and a last axis of every candidate
+    ``g(x)``, each subset holding ``x``, smallest first.  Every comparable
+    ``c`` and box ANDs in its hit test, one table over the ``f(c)`` choices
+    and the candidates broadcast along the axis of ``c`` and the last one,
+    so a cell stays True exactly when that ``f`` and that ``g(x)`` satisfy
+    both clauses.  The first True along the last axis is the least ``g(x)``
+    size for that ``f``; broadcasting the elementwise maximum of these over
+    the joint ``f`` space and taking the minimum is therefore an exhaustive
+    sweep of all pairs.  With ``K = C(n - 1, a - 1)`` choices per element,
+    one element's tensor has at most ``K**n * 2**(n - 1)`` cells, which
+    :data:`ORACLE_CELL_BUDGET` caps.
     """
     try:
         import numpy as np
@@ -157,37 +166,22 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     P = _poset_from_up_rows(n, list(rows))
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
     K = len(cands[0])
-    if K**n > ORACLE_CELL_BUDGET:
-        raise SizeExceeded(f"oracle tensor would need {K}**{n} cells")
+    if K**n << (n - 1) > ORACLE_CELL_BUDGET:
+        raise SizeExceeded(f"oracle tensor would need {K}**{n} * 2**{n - 1} cells")
     INF = 127
-    subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    per_element = []
+    joint = np.int16(0)
     for x in range(n):
+        own = sorted((S for S in range(1 << n) if S >> x & 1), key=lambda S: (S.bit_count(), S))
+        sizes = np.array([S.bit_count() for S in own], dtype=np.int16)
         comp = [c for c in range(n) if P.leq(c, x) or P.leq(x, c)]
-        shape = tuple(K if c in comp else 1 for c in range(n))
-        need = np.full(shape, INF, dtype=np.int16)
-        own = [S for S in subsets if S >> x & 1]
-        for S in own:
-            if not (need == INF).any():
-                break
-            ok = np.ones(shape, dtype=bool)
-            for c in comp:
-                boxes = []
-                if P.leq(c, x):
-                    boxes.append(P.up[c] & P.down[x])
-                if P.leq(x, c):
-                    boxes.append(P.up[x] & P.down[c])
-                vec = np.array(
-                    [all(S & fc & box for box in boxes) for fc in cands[c]],
-                    dtype=bool,
-                )
-                ok &= vec.reshape(tuple(K if cc == c else 1 for cc in range(n)))
-            size = bin(S).count("1")
-            need = np.where(ok & (need == INF), np.int16(size), need)
-        per_element.append(need)
-    joint = per_element[0]
-    for arr in per_element[1:]:
-        joint = np.maximum(joint, arr)
+        ok = np.ones([K if c in comp else 1 for c in range(n)] + [len(own)], dtype=bool)
+        for c in comp:
+            for lo, hi in ((c, x), (x, c)):
+                if P.leq(lo, hi):
+                    hit = (np.bitwise_and.outer(cands[c], own) & P.up[lo] & P.down[hi]) != 0
+                    ok &= hit.reshape([K if cc == c else 1 for cc in range(n)] + [-1])
+        need = np.where(ok.any(-1), sizes[ok.argmax(-1)], np.int16(INF))
+        joint = np.maximum(joint, need)
     return int(joint.min())
 
 

@@ -91,9 +91,16 @@ class TestBruteFrontier:
             brute_frontier(chain(6))
 
     def test_cell_budget(self):
-        # past the size guard, the a = 3 table of a 7-chain needs 15**7 cells
+        # past the size guard, the a = 3 table of a 7-chain needs 15**7 * 2**6 cells
         with pytest.raises(SizeExceeded, match="cells"):
             brute_frontier(chain(7), max_size=7)
+
+    def test_cell_budget_counts_the_subset_axis(self):
+        # 7**8 f choices fit in the budget, but with the 2**7 candidate
+        # g(x) subsets per element the tensor does not
+        assert 7**8 <= ORACLE_CELL_BUDGET < 7**8 * 2**7
+        with pytest.raises(SizeExceeded, match="cells"):
+            _needed_g_table(chain(8).up, 2)
 
 
 def test_joint_enumeration_size_guard():
