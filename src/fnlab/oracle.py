@@ -67,32 +67,44 @@ def enumerate_posets(n: int):
     """All labeled posets on ``n`` elements, in a fixed enumeration order.
 
     Reflexivity and antisymmetry are built in by choosing one of three
-    states per unordered pair (below, above, incomparable); transitivity is
-    filtered by a direct scan.  Enumeration is labeled, not
-    up-to-isomorphism.
+    states per unordered pair (incomparable, below, above), pairs in
+    ``combinations`` order and states in ``product`` order.  The walk is
+    depth first, and pair ``(lo, hi)`` is the last pair of every triple
+    ``{h, lo, hi}`` with ``h < lo``: those triples are checked for
+    transitivity on the up and down masks as soon as it is set, and a
+    failing branch is cut.  Each relation that survives is transitive and
+    is validated once more by :func:`_poset_from_up_rows`.  Enumeration is
+    labeled, not up-to-isomorphism.
     """
     if n > ORACLE_MAX_ELEMENTS:
         raise SizeExceeded(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {n}")
     check_poset_size(n)
     pairs = list(combinations(range(n), 2))
-    for states in product((0, 1, 2), repeat=len(pairs)):
-        rows = [1 << x for x in range(n)]
-        for (lo, hi), state in zip(pairs, states):
-            if state == 1:
-                rows[lo] |= 1 << hi
-            elif state == 2:
-                rows[hi] |= 1 << lo
-        transitive = True
-        for x in range(n):
-            acc = rows[x]
-            for y in bits_of(acc):
-                if rows[y] & ~acc:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if transitive:
-            yield _poset_from_up_rows(n, rows)
+    up = [1 << x for x in range(n)]
+    down = list(up)
+
+    def walk(i):
+        if i == len(pairs):
+            yield _poset_from_up_rows(n, list(up))
+            return
+        lo, hi = pairs[i]
+        earlier = (1 << lo) - 1
+        # incomparable: no h < lo may lie between them either way
+        if not (up[lo] & down[hi] | up[hi] & down[lo]) & earlier:
+            yield from walk(i + 1)
+        # x <= y: what is below x is below y, what is above y is above x,
+        # and no h < lo lies above y and below x
+        for x, y in ((lo, hi), (hi, lo)):
+            if (
+                down[x] & ~down[y] | up[y] & ~up[x] | up[y] & down[x]
+            ) & earlier == 0:
+                up[x] |= 1 << y
+                down[y] |= 1 << x
+                yield from walk(i + 1)
+                up[x] ^= 1 << y
+                down[y] ^= 1 << x
+
+    yield from walk(0)
 
 
 def _exact_size_choices(n: int, x: int, size: int) -> list[int]:
@@ -138,8 +150,7 @@ def _canonical_rows(P: Poset) -> tuple[int, ...]:
 def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     """Smallest worst-case ``g`` image size over all exact-``a`` choices of
     ``f`` on the poset with up-rows ``rows`` (a key from
-    :func:`_canonical_rows`), by exhaustive tensor enumeration; 127 when no
-    ``f`` works.
+    :func:`_canonical_rows`), by exhaustive tensor enumeration.
 
     For a fixed ``f`` the two interpolation clauses decompose per element:
     ``g(x)`` must hit ``f(p) ∩ [p, x]`` for every ``p <= x`` and
@@ -151,11 +162,13 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     and the candidates broadcast along the axis of ``c`` and the last one,
     so a cell stays True exactly when that ``f`` and that ``g(x)`` satisfy
     both clauses.  The first True along the last axis is the least ``g(x)``
-    size for that ``f``; broadcasting the elementwise maximum of these over
-    the joint ``f`` space and taking the minimum is therefore an exhaustive
-    sweep of all pairs.  With ``K = C(n - 1, a - 1)`` choices per element,
-    one element's tensor has at most ``K**n * 2**(n - 1)`` cells, which
-    :data:`ORACLE_CELL_BUDGET` caps.
+    size for that ``f``, and there always is one: the last candidate, the
+    full set, meets each ``f(c) ∩ box`` in ``c``.  Broadcasting the
+    elementwise maximum of these over the joint ``f`` space and taking the
+    minimum is therefore an exhaustive sweep of all pairs.  With
+    ``K = C(n - 1, a - 1)`` choices per element, one element's tensor has
+    at most ``K**n * 2**(n - 1)`` cells, which :data:`ORACLE_CELL_BUDGET`
+    caps.
     """
     try:
         import numpy as np
@@ -168,7 +181,6 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     K = len(cands[0])
     if K**n << (n - 1) > ORACLE_CELL_BUDGET:
         raise SizeExceeded(f"oracle tensor would need {K}**{n} * 2**{n - 1} cells")
-    INF = 127
     joint = np.int16(0)
     for x in range(n):
         own = sorted((S for S in range(1 << n) if S >> x & 1), key=lambda S: (S.bit_count(), S))
@@ -180,8 +192,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
                 if P.leq(lo, hi):
                     hit = (np.bitwise_and.outer(cands[c], own) & P.up[lo] & P.down[hi]) != 0
                     ok &= hit.reshape([K if cc == c else 1 for cc in range(n)] + [-1])
-        need = np.where(ok.any(-1), sizes[ok.argmax(-1)], np.int16(INF))
-        joint = np.maximum(joint, need)
+        joint = np.maximum(joint, sizes[ok.argmax(-1)])
     return int(joint.min())
 
 

@@ -9,7 +9,7 @@ Labels are decorative only. All values are immutable after validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -95,15 +95,7 @@ class Poset:
         """Hasse edges ``(p, q)`` with ``p < q`` and nothing strictly between."""
         out = []
         for p in range(self.n):
-            # each q still above p, in ascending order, drops everything
-            # strictly above it; no cover is ever dropped, so what remains
-            # is exactly the covers of p
-            above = rest = self.up[p] & ~(1 << p)
-            while rest:
-                low = rest & -rest
-                above &= ~self.up[low.bit_length() - 1] | low
-                rest = above & -(low << 1)
-            out.extend((p, q) for q in bits_of(above))
+            out.extend((p, q) for q in bits_of(_eliminate(self.up, p)[0]))
         return out
 
     def __repr__(self):
@@ -128,27 +120,102 @@ def validate_poset(
     return _poset_from_up_rows(n, rows, labels)
 
 
+def _eliminate(rows: Sequence[int], p: int) -> tuple[int, int]:
+    """Walk the elements strictly above ``p`` in ascending order; each one
+    still left drops everything strictly above itself.
+
+    Returns the mask of what is left and the join of ``1 << p`` with the
+    row of every element the walk visited.  On a poset no cover is ever
+    dropped, so what is left is exactly the covers of ``p``, and every
+    element above ``p`` is visited or lies in the row of one that was, so
+    the join is ``rows[p]``.
+    """
+    above = rest = rows[p] & ~(1 << p)
+    joined = 1 << p
+    while rest:
+        low = rest & -rest
+        row = rows[low.bit_length() - 1]
+        joined |= row
+        above &= ~row | low
+        rest = above & -(low << 1)
+    return above, joined
+
+
+def _tiled(pattern: int, period: int, count: int) -> int:
+    """``pattern`` repeated ``count`` times (a power of two), ``period``
+    bits apart."""
+    while count > 1:
+        pattern |= pattern << period
+        period *= 2
+        count //= 2
+    return pattern
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
+    """The steps of the block-swap transpose of a ``w x w`` bit matrix
+    packed one row per ``w`` bits (bit ``y`` of row ``x`` at ``x*w + y``).
+
+    For each ``j = w/2, ..., 1`` the bits with ``x & j`` clear and ``y & j``
+    set trade places with their mirror ``j`` rows down and ``j`` columns
+    left, ``j*(w - 1)`` bits away (Warren, *Hacker's Delight*, 2nd ed.,
+    §7-3); each step is ``(shift, mask of the lower partners)``.
+    """
+    steps = []
+    j = w // 2
+    while j:
+        columns = _tiled(((1 << j) - 1) << j, 2 * j, w * w // (2 * j))
+        rows = _tiled((1 << j * w) - 1, 2 * j * w, w // (2 * j))
+        steps.append((j * (w - 1), columns & rows))
+        j //= 2
+    return tuple(steps)
+
+
+def _transpose(n: int, rows: Sequence[int]) -> list[int]:
+    """The transpose of ``n`` rows of ``n`` bits: rows packed into one
+    integer at a power-of-two stride of at least a byte, then one masked
+    swap per halving of the stride."""
+    w = max(8, 1 << (n - 1).bit_length())
+    width = w // 8
+    m = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+    for shift, mask in _swap_masks(w):
+        t = (m ^ m >> shift) & mask
+        m ^= t ^ t << shift
+    packed = m.to_bytes(w * width, "little")
+    return [int.from_bytes(packed[y * width : (y + 1) * width], "little") for y in range(n)]
+
+
 def _poset_from_up_rows(n: int, rows: list[int], labels=None) -> Poset:
+    """The one validator: check up rows reflexive, antisymmetric and
+    transitive, in that order, raise the first failure with its witness,
+    and build the :class:`Poset`.
+
+    The down rows come from one block-swap transpose.  Transitivity is
+    checked by rejoining each row through the :meth:`Poset.covers`
+    elimination; every comparable pair is scanned only when a row fails to
+    rejoin, to name the first failing triple.
+    """
     check_poset_size(n)
     for x in range(n):
         if not rows[x] >> x & 1:
             raise NotReflexive(x)
-    down = [0] * n
-    for x in range(n):
-        for y in bits_of(rows[x]):
-            down[y] |= 1 << x
+    down = _transpose(n, rows)
     # the least x in a cycle pairs with the least y on both sides of it: a
     # partner below x would have been caught at that partner
     for x in range(n):
         both = rows[x] & down[x] & ~(1 << x)
         if both:
             raise NotAntisymmetric(x, (both & -both).bit_length() - 1)
-    for x in range(n):
-        for y in bits_of(rows[x]):
-            missing = rows[y] & ~rows[x]
-            if missing:
-                z = (missing & -missing).bit_length() - 1
-                raise NotTransitive(x, y, z)
+    # a reflexive antisymmetric relation is transitive exactly when the
+    # elimination rejoins every row: a triple x <= y <= z with z missing
+    # from row x passes to a smaller row visited above x, until one fails
+    # to rejoin. The pairwise scan then names the first triple.
+    if any(_eliminate(rows, x)[1] != rows[x] for x in range(n)):
+        for x in range(n):
+            for y in bits_of(rows[x]):
+                missing = rows[y] & ~rows[x]
+                if missing:
+                    raise NotTransitive(x, y, (missing & -missing).bit_length() - 1)
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
@@ -162,9 +229,11 @@ def poset_from_covers(
     """Build a poset from Hasse/cover edges ``lo < hi``.
 
     The reflexive-transitive closure is computed first and then validated,
-    so a cyclic edge list is reported as an antisymmetry failure.  Each row
-    grows in one pass: ``work`` holds only the elements newly reached, so
-    every element the row reaches is visited once.
+    so a cyclic edge list is reported as an antisymmetry failure.  Rows are
+    closed in depth-first post-order: a reached element whose row is
+    already closed joins whole, and any other (only on a cycle) is expanded
+    one step, its newly reached elements queued.  Without a cycle every
+    successor is closed first, so the closure costs one join per edge.
     """
     check_poset_size(n)
     rows = [1 << x for x in range(n)]
@@ -172,15 +241,35 @@ def poset_from_covers(
         if not (0 <= lo < n and 0 <= hi < n):
             raise IndexOutOfRange(f"cover edge ({lo}, {hi}) out of range")
         rows[lo] |= 1 << hi
-    for x in range(n):
-        acc = rows[x]
-        work = acc & ~(1 << x)
-        while work:
-            low = work & -work
-            new = rows[low.bit_length() - 1] & ~acc
-            acc |= new
-            work = work ^ low | new
-        rows[x] = acc
+    seen = closed = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            x = stack[-1]
+            fresh = rows[x] & ~seen
+            if fresh:
+                low = fresh & -fresh
+                seen |= low
+                stack.append(low.bit_length() - 1)
+                continue
+            stack.pop()
+            acc = rows[x]
+            work = acc & ~(1 << x)
+            while work:
+                low = work & -work
+                row = rows[low.bit_length() - 1]
+                if closed & low:
+                    acc |= row
+                    work &= ~row
+                else:
+                    new = row & ~acc
+                    acc |= new
+                    work = work ^ low | new
+            rows[x] = acc
+            closed |= 1 << x
     return _poset_from_up_rows(n, rows, labels)
 
 
@@ -210,10 +299,15 @@ class MonotoneMap:
             raise InvalidArgument("image must assign every element of the domain")
         for v in self.image:
             self.cod.check_index(v)
-        for p in range(self.dom.n):
-            for q in bits_of(self.dom.up[p]):
-                if not self.cod.leq(self.image[p], self.image[q]):
-                    raise NotMonotone(p, q)
+        # the domain order is the closure of its covers and the codomain's
+        # is transitive, so the covers decide; a failing cover means some
+        # pair fails, and the pairwise scan names the first one
+        up, image = self.cod.up, self.image
+        if any(not up[image[p]] >> image[q] & 1 for p, q in self.dom.covers()):
+            for p in range(self.dom.n):
+                for q in bits_of(self.dom.up[p]):
+                    if not up[image[p]] >> image[q] & 1:
+                        raise NotMonotone(p, q)
 
     def __call__(self, p: int) -> int:
         self.dom.check_index(p)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -44,6 +45,15 @@ class TestEnumeration:
             seen.add(P.up)
             assert P.n == 3
         assert len(seen) == 19
+
+    def test_order_frozen(self):
+        """The enumeration order and rows, frozen: the benchmark samples
+        the 5-element posets by index."""
+        h = hashlib.sha256()
+        for n in range(6):
+            for P in enumerate_posets(n):
+                h.update(repr((P.up, P.down)).encode())
+        assert h.hexdigest() == "c9046278ffc9416679ad9ffa4991711df7ec355b1a19661d0a0f49f4eb02271b"
 
     def test_size_guard(self):
         with pytest.raises(SizeExceeded):

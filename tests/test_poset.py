@@ -1,7 +1,8 @@
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fnlab.errors import (
@@ -14,6 +15,7 @@ from fnlab.errors import (
     NotTransitive,
     SizeExceeded,
 )
+from fnlab.boolalg import powerset_algebra
 from fnlab.gen import random_poset
 from fnlab.poset import (
     MAX_ELEMENTS,
@@ -29,6 +31,7 @@ from fnlab.poset import (
     diamond,
     identity_map,
     _poset_from_up_rows,
+    _transpose,
     poset_from_covers,
     subposet_degree,
     validate_poset,
@@ -86,6 +89,15 @@ def pairwise_axioms(n, rows):
                 if not rows[x] >> z & 1:
                     raise NotTransitive(x, y, z)
     return [sum(1 << x for x in range(n) if rows[x] >> y & 1) for y in range(n)]
+
+
+def bitloop_transpose(n, rows):
+    """Reference transpose, one bit per step."""
+    down = [0] * n
+    for x in range(n):
+        for y in bits_of(rows[x]):
+            down[y] |= 1 << x
+    return down
 
 
 def pairwise_covers(n, up, down):
@@ -153,6 +165,24 @@ class TestAgainstReferences:
                 P.n, fixpoint_closure(P.n, P.covers())
             )
 
+    def test_relabeled_and_cyclic_sweep(self):
+        """Up to 12 elements on orders whose index order is not a linear
+        extension: their whole relation, some of its pairs dropped (not
+        transitive as a matrix), or one pair reversed (a cycle)."""
+        rng = random.Random(16)
+        for _ in range(800):
+            n = rng.randint(0, 12)
+            P = random_poset(n, rng, rng.random())
+            pairs = [(x, y) for x in range(n) for y in bits_of(P.up[x]) if x != y]
+            kind = rng.randrange(3)
+            if kind == 1:
+                pairs = [e for e in pairs if rng.random() < 0.8]
+            elif kind == 2 and pairs:
+                pairs.append(rng.choice(pairs)[::-1])
+            rng.shuffle(pairs)
+            diagonal = [int(rng.random() < 0.97) for _ in range(n)]
+            check_against_references(n, pairs, diagonal)
+
     @given(
         st.integers(1, 7).flatmap(
             lambda n: st.tuples(
@@ -164,6 +194,21 @@ class TestAgainstReferences:
     )
     def test_property(self, case):
         check_against_references(*case)
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", [*range(71), 255, 256, 257, 1024])
+    @settings(max_examples=4)
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_matches_bit_loop(self, n, seed, thinning):
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(n):
+            row = rng.getrandbits(n)
+            for _ in range(thinning):
+                row &= rng.getrandbits(n)
+            rows.append(row)
+        assert _transpose(n, rows) == bitloop_transpose(n, rows)
 
 
 class TestValidate:
@@ -218,6 +263,12 @@ class TestValidate:
             assert ok
         except (NotReflexive, NotAntisymmetric, NotTransitive):
             assert not ok
+
+    def test_closure_is_word_parallel(self):
+        covers = powerset_algebra(12).as_poset().covers()
+        t = time.perf_counter()
+        assert poset_from_covers(4096, covers).n == 4096  # a pairwise closure takes seconds
+        assert time.perf_counter() - t < 1.0
 
     def test_covers_round_trip(self):
         for P in (chain(4), antichain(3), diamond()):
@@ -316,6 +367,50 @@ class TestMonotoneMap:
         i = MonotoneMap(chain(2), chain(3), (0, 2))
         with pytest.raises(DomainMismatch):
             check_retraction(i, identity_map(chain(2)))
+
+
+def pairwise_monotone(dom, cod, image):
+    """Reference monotonicity scan: the first comparable pair whose images
+    are not comparable, or None."""
+    for p in range(dom.n):
+        for q in bits_of(dom.up[p]):
+            if not cod.leq(image[p], image[q]):
+                return NotMonotone, str(NotMonotone(p, q))
+    return None
+
+
+def slipping_map(dom, cod, rng, slip):
+    """Images chosen along a linear extension of ``dom``: each element
+    goes above the images of the elements below it, or anywhere with
+    probability ``slip``."""
+    image = [0] * dom.n
+    for x in sorted(range(dom.n), key=lambda x: dom.down[x].bit_count()):
+        allowed = cod.full_mask()
+        for y in bits_of(dom.down[x] & ~(1 << x)):
+            allowed &= cod.up[image[y]]
+        choices = list(bits_of(allowed))
+        if not choices or rng.random() < slip:
+            choices = range(cod.n)
+        image[x] = rng.choice(choices)
+    return tuple(image)
+
+
+class TestMonotoneAgainstPairwiseScan:
+    def test_seeded_maps(self):
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(1000):
+            dom = random_poset(rng.randint(0, 10), rng, rng.random())
+            cod = random_poset(rng.randint(1, 10), rng, rng.random())
+            image = slipping_map(dom, cod, rng, rng.choice((0.0, 0.05, 0.3)))
+            try:
+                MonotoneMap(dom, cod, image)
+                got = None
+            except NotMonotone as e:
+                got = type(e), str(e)
+            assert got == pairwise_monotone(dom, cod, image)
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
 
 
 def transpose_as_poset(A: SubsetView):
