@@ -41,6 +41,8 @@ class CapacityPair(NamedTuple):
     b: int
 
     def check(self) -> "CapacityPair":
+        if type(self.a) is not int or type(self.b) is not int:
+            raise InvalidArgument(f"capacities must be integers, got {self.a!r}, {self.b!r}")
         if self.a < 1 or self.b < 1:
             raise InvalidArgument("capacities must be at least 1")
         return self

@@ -1,7 +1,8 @@
 """Exact capacity-bounded pair search and the Pareto frontier walk.
 
 ``search_pair`` is a complete search that decides whether a valid pair
-within capacities ``(a, b)`` exists and returns a witness when one does.
+within capacities ``(a, b)`` exists and returns a witness when one does;
+``feasible`` runs the same search and builds no pair.
 Slot ``2x`` holds ``f(x)`` and slot ``2x + 1`` holds ``g(x)``.  Each map
 has one candidate table, every ``size``-subset of the elements in
 ``combinations`` order; a slot's domain is a bitmask over the indices of
@@ -27,8 +28,23 @@ memoizes them, and every slot of a map (of both maps when ``a == b``)
 shares its memos: ``held`` keyed by the domain, the support keyed by the
 element mask.  The tables and their memos live in the ``lru_cache`` of
 ``_table``, are shared by every query and walk with the same ``n`` and
-capacity, and last as long as that cache entry.  The arcs, each box as an
-element mask, depend only on the poset and are built once per poset.
+capacity, and last as long as that cache entry; a miss that would take a
+``held`` memo past ``_HELD_MEMO_MAX`` domains clears it first, so one long
+query cannot grow it without end.  The arcs, each box as an element mask,
+depend only on the poset and are built once per poset.
+
+Each slot ``v`` also keeps ``last[v]``, the element mask its arcs were last
+revised against (residual supports, after Lecoutre and Hemery), copied
+with the domains in every node frame.  When ``v`` is popped only the arcs
+whose box meets ``gone = last[v] & ~held`` are revised, and ``last[v]``
+becomes ``held``; every other arc has the same key ``held & box`` as at its
+last revision, so its partner's domain already lies inside that support.
+At the root ``last`` is every element: each candidate of a slot holds the
+slot's element, which lies in every box of its arcs, so the root domains
+already meet that invariant.  A skipped arc could remove no value, and arc
+consistency has one greatest fixpoint, so every propagation ends in the
+same domains as a full revision would: the branching, the node counts, the
+witnesses and the node where a budget runs out do not change.
 
 ``MAX_CANDIDATES`` caps the candidates of a map summed over its slots,
 ``n * C(n - 1, size - 1)`` (``size`` times its table's length); a query
@@ -51,6 +67,8 @@ DEFAULT_NODE_BUDGET = 10**8
 # query on at most 19 elements is within it (19 * C(18, 9) = 923780), n = 20
 # at size 10 is not
 MAX_CANDIDATES = 2**20
+# entries of a table's held memo before a miss clears it
+_HELD_MEMO_MAX = 2**16
 
 _Table = tuple[tuple[int, ...], tuple[int, ...], dict[int, int], dict[int, int]]
 
@@ -84,45 +102,23 @@ def _arcs(P: Poset) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, arcs))
 
 
-def search_pair(
-    P: Poset,
-    cap: CapacityPair | tuple[int, int],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> FnPair | None:
-    """Find a valid pair with ``|f(x)| <= a`` and ``|g(x)| <= b``, or prove
-    there is none.
-
-    Complete within the capacity bounds; raises :class:`BudgetExceeded` when
-    the node budget runs out, which is reported distinctly from ``None``,
-    and :class:`SizeExceeded` when a map's candidates, summed over its
-    slots, would exceed ``MAX_CANDIDATES``.
-    """
-    a, b = CapacityPair(*cap).check()
-    if node_budget < 0:
-        raise InvalidArgument(f"node budget {node_budget} is negative")
+def _propagation(P: Poset, sizes: tuple[int, int]):
+    """The root domains, the root element masks ``last`` (every element), the
+    ``revise(dom, last, pending)`` closure and each slot's candidates for a
+    query on ``P`` with images of sizes ``sizes``."""
     n = P.n
-    if n == 0:
-        return FnPair(P, (), ())
-    sizes = min(a, n), min(b, n)
-    for size in sizes:
-        count = n * comb(n - 1, size - 1)
-        if count > MAX_CANDIDATES:
-            raise SizeExceeded(
-                f"{count} candidate sets of size {size} exceed cap {MAX_CANDIDATES}"
-            )
     # slot 2x draws from the f table and slot 2x + 1 from the g table;
     # contains[u][r] is the bitmask of the indices of the sets holding r
     tables = [_table(n, size) for size in sizes] * n
     cands, contains, held_memo, support_memo = zip(*tables)
     arcs = _arcs(P)
 
-    def revise(dom: list[int], pending: list[int]) -> bool:
+    def revise(dom: list[int], last: list[int], pending: list[int]) -> bool:
         """Make ``dom`` arc-consistent after the slots in ``pending``
-        shrank; False when some domain empties."""
+        shrank, revising only the arcs whose box lost an element since
+        ``last``; False when some domain empties."""
         while pending:
             v = pending.pop()
-            if not arcs[v]:
-                continue
             dv = dom[v]
             try:
                 held = held_memo[v][dv]
@@ -132,8 +128,16 @@ def search_pair(
                 for r in range(n):
                     if cv[r] & dv:
                         held |= 1 << r
+                if len(held_memo[v]) >= _HELD_MEMO_MAX:
+                    held_memo[v].clear()
                 held_memo[v][dv] = held
+            gone = last[v] & ~held
+            if not gone:
+                continue
+            last[v] = held
             for u, box in arcs[v]:
+                if not box & gone:
+                    continue
                 key = held & box
                 try:
                     support = support_memo[u][key]
@@ -155,33 +159,77 @@ def search_pair(
 
     # a slot's candidates are the sets holding its element
     dom = [c[u >> 1] for u, c in enumerate(contains)]
-    if not revise(dom, list(range(2 * n))):
+    return dom, [(1 << n) - 1] * (2 * n), revise, cands
+
+
+def _check_budget(node_budget: int) -> None:
+    if type(node_budget) is not int:
+        raise InvalidArgument(f"node budget {node_budget!r} is not an integer")
+    if node_budget < 0:
+        raise InvalidArgument(f"node budget {node_budget} is negative")
+
+
+def _search(P: Poset, cap: CapacityPair | tuple[int, int], node_budget: int) -> list[int] | None:
+    """The images of a valid pair within ``cap``, slot by slot, or None."""
+    a, b = CapacityPair(*cap).check()
+    _check_budget(node_budget)
+    n = P.n
+    if n == 0:
+        return []
+    sizes = min(a, n), min(b, n)
+    for size in sizes:
+        count = n * comb(n - 1, size - 1)
+        if count > MAX_CANDIDATES:
+            raise SizeExceeded(
+                f"{count} candidate sets of size {size} exceed cap {MAX_CANDIDATES}"
+            )
+    dom, last, revise, cands = _propagation(P, sizes)
+    if not revise(dom, last, list(range(2 * n))):
         return None
-    # depth first over explicit frames (domains, slots still free, the slot
-    # branched on, its values not yet tried as a bitmask), so the depth is not
-    # bounded by the recursion limit
+    # depth first over explicit frames (domains, element masks, slots still
+    # free, the slot branched on, its values not yet tried as a bitmask), so
+    # the depth is not bounded by the recursion limit
     nodes = 0
     free = list(range(2 * n))
-    u = min(free, key=lambda s: dom[s].bit_count())
-    stack = [(dom, [s for s in free if s != u], u, dom[u])]
+    u = min(free, key=[d.bit_count() for d in dom].__getitem__)
+    free.remove(u)
+    stack = [(dom, last, free, u, dom[u])]
     while stack:
-        dom, free, u, untried = stack.pop()
+        dom, last, free, u, untried = stack.pop()
         value = untried & -untried
         if untried != value:
-            stack.append((dom, free, u, untried ^ value))
+            stack.append((dom, last, free, u, untried ^ value))
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(nodes, node_budget)
-        child = dom.copy()
+        child, seen = dom.copy(), last.copy()
         child[u] = value
-        if not revise(child, [u]):
+        if not revise(child, seen, [u]):
             continue
         if not free:
-            images = [c[d.bit_length() - 1] for c, d in zip(cands, child)]
-            return FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
-        u = min(free, key=lambda s: child[s].bit_count())
-        stack.append((child, [s for s in free if s != u], u, child[u]))
+            return [c[d.bit_length() - 1] for c, d in zip(cands, child)]
+        u = min(free, key=[d.bit_count() for d in child].__getitem__)
+        rest = free.copy()
+        rest.remove(u)
+        stack.append((child, seen, rest, u, child[u]))
     return None
+
+
+def search_pair(
+    P: Poset,
+    cap: CapacityPair | tuple[int, int],
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> FnPair | None:
+    """Find a valid pair with ``|f(x)| <= a`` and ``|g(x)| <= b``, or prove
+    there is none.
+
+    Complete within the capacity bounds; raises :class:`BudgetExceeded` when
+    the node budget runs out, which is reported distinctly from ``None``,
+    and :class:`SizeExceeded` when a map's candidates, summed over its
+    slots, would exceed ``MAX_CANDIDATES``.
+    """
+    images = _search(P, cap, node_budget)
+    return None if images is None else FnPair(P, tuple(images[0::2]), tuple(images[1::2]))
 
 
 def feasible(
@@ -189,7 +237,7 @@ def feasible(
     cap: CapacityPair | tuple[int, int],
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
-    return search_pair(P, cap, node_budget) is not None
+    return _search(P, cap, node_budget) is not None
 
 
 @dataclass(frozen=True)
@@ -223,8 +271,7 @@ def frontier(
     :class:`SizeExceeded` (or :class:`BudgetExceeded`) carries the boundary
     points confirmed so far as ``partial``.
     """
-    if node_budget < 0:
-        raise InvalidArgument(f"node budget {node_budget} is negative")
+    _check_budget(node_budget)
     if workers < 1:
         raise InvalidArgument(f"worker count {workers} is below 1")
     if P.n == 0:

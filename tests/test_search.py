@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from hashlib import sha256
 from itertools import combinations, product
 from math import comb
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fnlab import serialize as ser
 from fnlab.cli import main
-from fnlab.errors import BudgetExceeded, SizeExceeded
+from fnlab.errors import BudgetExceeded, InvalidArgument, SizeExceeded
 from fnlab.fnmaps import (
     FnPair,
     Frontier,
@@ -87,6 +88,24 @@ class TestSearchPair:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             search_pair(chain(2), (0, 1))
+
+    @pytest.mark.parametrize("cap", [(2.5, 3), ("2", 3), (True, 2), (2, False)])
+    def test_capacities_must_be_plain_ints(self, cap):
+        with pytest.raises(InvalidArgument):
+            search_pair(chain(3), cap)
+        with pytest.raises(InvalidArgument):
+            feasible(chain(3), cap)
+        with pytest.raises(InvalidArgument):
+            brute_feasible(chain(3), cap)
+
+    @pytest.mark.parametrize("budget", [2.5, "2", True, 10.0**6])
+    def test_node_budget_must_be_a_plain_int(self, budget):
+        with pytest.raises(InvalidArgument):
+            search_pair(chain(3), (2, 2), budget)
+        with pytest.raises(InvalidArgument):
+            feasible(chain(3), (2, 2), budget)
+        with pytest.raises(InvalidArgument):
+            frontier(chain(3), budget)
 
     def test_empty_poset(self):
         got = search_pair(chain(0), (1, 1))
@@ -204,6 +223,51 @@ class TestAgainstPerBoxReference:
                 for budget in (10**6, *budgets):
                     got = outcome(search_pair, P, (a, b), budget)
                     assert got == outcome(reference_search, P, (a, b), budget), (a, b, budget)
+
+
+class TestWitnessFreeFeasibility:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_feasible_matches_search_pair(self, n, seed):
+        """``feasible`` decides as ``search_pair`` does and runs out of
+        budget at the same node."""
+        P = random_poset(n, random.Random(f"{n}/{seed}"))
+        for a, b in product(range(1, n + 1), repeat=2):
+            for budget in (3, 40, 10**6):
+                want = outcome(search_pair, P, (a, b), budget)
+                if not isinstance(want, tuple):  # not a budget cut
+                    want = want is not None
+                assert outcome(feasible, P, (a, b), budget) == want, (a, b, budget)
+
+
+class TestHeldMemoBound:
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        """A budget-cut query with a small ``held`` memo bound keeps the
+        memo within it and ends where the unbounded run ends."""
+        P, cap, budget, bound = chain(10), (3, 3), 1000, 64
+        search_module._table.cache_clear()
+        unbounded = outcome(search_pair, P, cap, budget)
+        assert unbounded == ("budget", budget + 1)
+        assert len(search_module._table(10, 3)[2]) > bound
+
+        peak = 0
+
+        class Watched(dict):
+            def __setitem__(self, key, value):
+                nonlocal peak
+                super().__setitem__(key, value)
+                peak = max(peak, len(self))
+
+        build = search_module._table.__wrapped__
+
+        def watched_table(n, size):
+            cands, contains, _, support = build(n, size)
+            return cands, contains, Watched(), support
+
+        monkeypatch.setattr(search_module, "_HELD_MEMO_MAX", bound)
+        monkeypatch.setattr(search_module, "_table", lru_cache(watched_table))
+        assert outcome(search_pair, P, cap, budget) == unbounded
+        assert 0 < peak <= bound
 
 
 class TestUniversalPairs:
