@@ -40,7 +40,7 @@ from .errors import (
     SizeExceeded,
     ZeroMember,
 )
-from .poset import Poset, bits_of, check_poset_size
+from .poset import Poset, _tiled, bits_of, check_poset_size
 
 ALGEBRA_CAP = 2**20
 
@@ -63,14 +63,15 @@ def _check_carrier(size: int, k: int) -> None:
 @lru_cache(maxsize=None)
 def atom_patterns(k: int) -> tuple[int, ...]:
     """Per atom ``i``, the ``2**k``-bit mask of the powerset elements that
-    contain ``i`` (bit ``x`` for element mask ``x``)."""
-    pats = []
-    for i in range(k):
-        pat = ((1 << (1 << i)) - 1) << (1 << i)  # one period: 2**i zeros, 2**i ones
-        for j in range(i + 1, k):
-            pat |= pat << (1 << j)
-        pats.append(pat)
-    return tuple(pats)
+    contain ``i`` (bit ``x`` for element mask ``x``): one period of ``2**i``
+    zeros and ``2**i`` ones, tiled.
+
+    The cache is unbounded but small: a powerset under ``ALGEBRA_CAP`` has
+    at most 20 atoms, and the patterns of every ``k`` up to 20 take about
+    5 MB together."""
+    return tuple(
+        _tiled(((1 << (1 << i)) - 1) << (1 << i), 2 << i, 1 << (k - i - 1)) for i in range(k)
+    )
 
 
 def atom_blocks(k: int, gens, most: int | None = None) -> list[int]:
@@ -141,12 +142,6 @@ class BooleanAlgebra:
             raise InvalidArgument(f"carrier is not a subalgebra of the {self.k}-atom powerset")
 
     # Lattice operations on element masks.
-    def meet(self, x: int, y: int) -> int:
-        return x & y
-
-    def join(self, x: int, y: int) -> int:
-        return x | y
-
     def complement(self, x: int) -> int:
         return self.one ^ x
 
@@ -230,7 +225,12 @@ def subalgebra_masks(k: int, gens) -> tuple[int, ...]:
 def subalgebra_index_mask(k: int, gens: frozenset[int]) -> int:
     """``subalgebra_masks(k, gens)`` as one ``2**k``-bit mask over the
     powerset (bit ``m`` for element mask ``m``), computed word-parallel: the
-    AND over the blocks of (contains the block OR misses it)."""
+    AND over the blocks of (contains the block OR misses it).
+
+    The cache holds at most 1024 masks.  The transports, its library
+    callers, ask for one only after building an element order, which
+    ``MAX_ELEMENTS`` caps at ``2**12`` elements, so each mask they cache
+    has at most ``2**12`` bits."""
     pat = atom_patterns(k)
     full = (1 << (1 << k)) - 1
     out = full

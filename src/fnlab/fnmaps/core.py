@@ -155,12 +155,12 @@ def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
     return Verdict(True, None, inter)
 
 
-def verify_single(P: Poset, h: Sequence[object], with_interpolants: bool = False) -> Verdict:
+def verify_single(P: Poset, h: Sequence[object]) -> Verdict:
     """Single-map verification: ``r in h(p) ∩ h(q)`` with ``p <= r <= q``.
 
     With ``f = g`` the two clauses coincide, so a violation is clause 1."""
     h = _coerce_map(P, h, "h")
-    return verify_pair(FnPair(P, h, h), with_interpolants)
+    return verify_pair(FnPair(P, h, h))
 
 
 def collapse(pair: FnPair) -> SetMap:

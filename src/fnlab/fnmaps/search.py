@@ -29,8 +29,9 @@ shares its memos: ``held`` keyed by the domain, the support keyed by the
 element mask.  The tables and their memos live in the ``lru_cache`` of
 ``_table``, are shared by every query and walk with the same ``n`` and
 capacity, and last as long as that cache entry; a miss that would take a
-``held`` memo past ``_HELD_MEMO_MAX`` domains clears it first, so one long
-query cannot grow it without end.  The arcs, each box as an element mask,
+``held`` memo past ``_HELD_MEMO_BITS`` bits of keys (its domains times the
+table's length) clears it first, so one long query on a large table
+cannot grow it without end.  The arcs, each box as an element mask,
 depend only on the poset and are built once per poset.
 
 Each slot ``v`` also keeps ``last[v]``, the element mask its arcs were last
@@ -67,8 +68,9 @@ DEFAULT_NODE_BUDGET = 10**8
 # query on at most 19 elements is within it (19 * C(18, 9) = 923780), n = 20
 # at size 10 is not
 MAX_CANDIDATES = 2**20
-# entries of a table's held memo before a miss clears it
-_HELD_MEMO_MAX = 2**16
+# bits of domain keys a table's held memo may store (a key has one bit per
+# candidate) before a miss clears it
+_HELD_MEMO_BITS = 2**24
 
 _Table = tuple[tuple[int, ...], tuple[int, ...], dict[int, int], dict[int, int]]
 
@@ -111,6 +113,8 @@ def _propagation(P: Poset, sizes: tuple[int, int]):
     # contains[u][r] is the bitmask of the indices of the sets holding r
     tables = [_table(n, size) for size in sizes] * n
     cands, contains, held_memo, support_memo = zip(*tables)
+    # the domains a held memo may store before a miss clears it
+    held_max = [_HELD_MEMO_BITS // len(c) for c in cands]
     arcs = _arcs(P)
 
     def revise(dom: list[int], last: list[int], pending: list[int]) -> bool:
@@ -128,7 +132,7 @@ def _propagation(P: Poset, sizes: tuple[int, int]):
                 for r in range(n):
                     if cv[r] & dv:
                         held |= 1 << r
-                if len(held_memo[v]) >= _HELD_MEMO_MAX:
+                if len(held_memo[v]) >= held_max[v]:
                     held_memo[v].clear()
                 held_memo[v][dv] = held
             gone = last[v] & ~held

@@ -169,6 +169,10 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     ``K = C(n - 1, a - 1)`` choices per element, one element's tensor has
     at most ``K**n * 2**(n - 1)`` cells, which :data:`ORACLE_CELL_BUDGET`
     caps.
+
+    The cache is unbounded but small: one int per isomorphism class and
+    capacity, and posets up to ``ORACLE_MAX_ELEMENTS`` elements fall into
+    88 classes.
     """
     try:
         import numpy as np

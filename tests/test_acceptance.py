@@ -33,13 +33,7 @@ from fnlab.fnmaps import (
     verify_single,
     wellorder_map,
 )
-from fnlab.gen import (
-    random_poset,
-    random_retraction,
-    random_single_maps,
-    random_subset_view,
-    random_valid_pair,
-)
+from fnlab.gen import random_poset, random_valid_pair
 from fnlab.oracle import (
     LABELED_POSET_COUNTS,
     brute_cofactor_minmax,
@@ -48,6 +42,7 @@ from fnlab.oracle import (
     enumerate_posets,
 )
 from fnlab.poset import SubsetView, antichain, chain, diamond, subposet_degree
+from helpers import random_retraction, random_single_maps, random_subset_view
 
 # Frontier fixtures: antichain_3 and chain_2 are forced by hand; chain_4 and
 # diamond were computed once by the oracle boundary table and frozen here.

@@ -22,8 +22,9 @@ from fnlab.fnmaps import (
     verify_single,
     wellorder_map,
 )
-from fnlab.gen import random_poset, random_total_map, random_valid_pair
+from fnlab.gen import random_poset, random_valid_pair
 from fnlab.poset import antichain, bits_of, chain, diamond
+from helpers import random_total_map
 
 
 @pytest.mark.parametrize("density", [float("nan"), -0.1, 1.5])

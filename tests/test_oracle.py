@@ -5,7 +5,7 @@ import pytest
 
 from fnlab.errors import SizeExceeded
 from fnlab.fnmaps import FnPair, verify_pair, verify_single
-from fnlab.gen import random_poset, random_total_map
+from fnlab.gen import random_poset
 from fnlab.oracle import (
     LABELED_POSET_COUNTS,
     ORACLE_CELL_BUDGET,
@@ -20,6 +20,7 @@ from fnlab.oracle import (
     reference_valid_single,
 )
 from fnlab.poset import SubsetView, _poset_from_up_rows, antichain, bits_of, chain, diamond
+from helpers import random_total_map
 
 # Unlabeled poset counts (OEIS A000112; Brinkmann & McKay 2002): one
 # canonical key per isomorphism class.

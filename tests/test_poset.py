@@ -29,13 +29,14 @@ from fnlab.poset import (
     cofinality_below,
     coinitiality_above,
     diamond,
-    identity_map,
     _poset_from_up_rows,
+    _swap_masks,
     _transpose,
     poset_from_covers,
     subposet_degree,
     validate_poset,
 )
+from helpers import identity_map
 
 
 def naive_axiom_check(matrix):
@@ -209,6 +210,16 @@ class TestTranspose:
                 row &= rng.getrandbits(n)
             rows.append(row)
         assert _transpose(n, rows) == bitloop_transpose(n, rows)
+
+    def test_swap_masks_keep_one_stride(self):
+        """After a 4096-element order and then a 3-element one, only the
+        last stride's masks are cached, and asking for them again hits."""
+        poset_from_covers(4096, powerset_algebra(12).as_poset().covers())
+        chain(3)
+        assert _swap_masks.cache_info().currsize == 1
+        hits = _swap_masks.cache_info().hits
+        _swap_masks(8)
+        assert _swap_masks.cache_info().hits == hits + 1
 
 
 class TestValidate:

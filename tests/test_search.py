@@ -264,7 +264,8 @@ class TestHeldMemoBound:
             cands, contains, _, support = build(n, size)
             return cands, contains, Watched(), support
 
-        monkeypatch.setattr(search_module, "_HELD_MEMO_MAX", bound)
+        bits = bound * len(search_module._table(10, 3)[0])
+        monkeypatch.setattr(search_module, "_HELD_MEMO_BITS", bits)
         monkeypatch.setattr(search_module, "_table", lru_cache(watched_table))
         assert outcome(search_pair, P, cap, budget) == unbounded
         assert 0 < peak <= bound

@@ -33,12 +33,7 @@ from fnlab.fnmaps import (
     verify_pair,
     wellorder_map,
 )
-from fnlab.gen import (
-    random_poset,
-    random_retraction,
-    random_subset_view,
-    random_valid_pair,
-)
+from fnlab.gen import random_poset, random_valid_pair
 from fnlab.oracle import brute_cofactor_minmax, brute_minmax_in_subset
 from fnlab.poset import (
     MonotoneMap,
@@ -46,9 +41,9 @@ from fnlab.poset import (
     bits_of,
     chain,
     diamond,
-    identity_map,
     subposet_degree,
 )
+from helpers import identity_map, random_retraction, random_subset_view
 
 
 class TestRetract:
