@@ -40,7 +40,7 @@ from .errors import (
     SizeExceeded,
     ZeroMember,
 )
-from .poset import Poset, _tiled, bits_of, check_poset_size
+from .poset import Poset, bits_of, check_poset_size
 
 ALGEBRA_CAP = 2**20
 
@@ -60,11 +60,21 @@ def _check_carrier(size: int, k: int) -> None:
         raise SizeExceeded(f"{size} elements of {k} atoms exceed {bound} carrier bits")
 
 
+def _tiled(pattern: int, period: int, count: int) -> int:
+    """``pattern`` repeated ``count`` times (a power of two), ``period``
+    bits apart."""
+    while count > 1:
+        pattern |= pattern << period
+        period *= 2
+        count //= 2
+    return pattern
+
+
 @lru_cache(maxsize=None)
 def atom_patterns(k: int) -> tuple[int, ...]:
     """Per atom ``i``, the ``2**k``-bit mask of the powerset elements that
     contain ``i`` (bit ``x`` for element mask ``x``): one period of ``2**i``
-    zeros and ``2**i`` ones, tiled.
+    zeros and ``2**i`` ones, tiled by :func:`_tiled`.
 
     The cache is unbounded but small: a powerset under ``ALGEBRA_CAP`` has
     at most 20 atoms, and the patterns of every ``k`` up to 20 take about

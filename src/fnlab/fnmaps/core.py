@@ -15,7 +15,7 @@ so every verdict, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..errors import (
     IndexOutOfRange,
@@ -53,7 +53,8 @@ def _coerce_map(P: Poset, values: Sequence[object], name: str) -> SetMap:
         raise MapNotTotal(f"{name} must assign a set to each of the {P.n} elements")
     masks = []
     for x, v in enumerate(values):
-        m = v if isinstance(v, int) else mask_of(v)
+        # a negative index is outside the poset, like one of n or more
+        m = v if isinstance(v, int) else mask_of(i if i >= 0 else P.n for i in v)
         if m < 0 or m >> P.n:
             raise IndexOutOfRange(f"{name}({x}) mentions elements outside the poset")
         masks.append(m)
@@ -62,7 +63,9 @@ def _coerce_map(P: Poset, values: Sequence[object], name: str) -> SetMap:
 
 @dataclass(frozen=True)
 class FnPair:
-    """A total pair of set-valued maps on a poset, stored as bitmask rows."""
+    """A total pair of set-valued maps on a poset, stored as bitmask rows.
+
+    ``f`` and ``g`` give each element a bitmask or an iterable of indices."""
 
     poset: Poset
     f: SetMap
@@ -71,12 +74,6 @@ class FnPair:
     def __post_init__(self):
         object.__setattr__(self, "f", _coerce_map(self.poset, self.f, "f"))
         object.__setattr__(self, "g", _coerce_map(self.poset, self.g, "g"))
-
-    @classmethod
-    def from_sets(
-        cls, P: Poset, f: Sequence[Iterable[int]], g: Sequence[Iterable[int]]
-    ) -> "FnPair":
-        return cls(P, tuple(mask_of(s) for s in f), tuple(mask_of(s) for s in g))
 
     def f_set(self, x: int) -> frozenset[int]:
         return frozenset(bits_of(self.f[x]))

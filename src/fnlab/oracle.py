@@ -21,7 +21,7 @@ from itertools import combinations, groupby, permutations, product
 from .boolalg import CoproductAlgebra
 from .errors import FnLabError, SizeExceeded
 from .fnmaps.core import CapacityPair
-from .poset import Poset, SubsetView, _poset_from_up_rows, bits_of, check_poset_size
+from .poset import Poset, SubsetView, _poset_from_rows, bits_of, check_poset_size
 
 ORACLE_MAX_ELEMENTS = 5
 ORACLE_CELL_BUDGET = 2**25
@@ -73,8 +73,8 @@ def enumerate_posets(n: int):
     ``{h, lo, hi}`` with ``h < lo``: those triples are checked for
     transitivity on the up and down masks as soon as it is set, and a
     failing branch is cut.  Each relation that survives is transitive and
-    is validated once more by :func:`_poset_from_up_rows`.  Enumeration is
-    labeled, not up-to-isomorphism.
+    is validated once more by :func:`_poset_from_rows`, on the up and down
+    rows the walk keeps.  Enumeration is labeled, not up-to-isomorphism.
     """
     if n > ORACLE_MAX_ELEMENTS:
         raise SizeExceeded(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {n}")
@@ -85,7 +85,7 @@ def enumerate_posets(n: int):
 
     def walk(i):
         if i == len(pairs):
-            yield _poset_from_up_rows(n, list(up))
+            yield _poset_from_rows(n, up, down)
             return
         lo, hi = pairs[i]
         earlier = (1 << lo) - 1
@@ -180,7 +180,8 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
         raise FnLabError("the oracle tables need numpy: install fnlab[oracle]") from None
 
     n = len(rows)
-    P = _poset_from_up_rows(n, list(rows))
+    down = [sum(1 << x for x in range(n) if rows[x] >> y & 1) for y in range(n)]
+    P = _poset_from_rows(n, rows, down)
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
     K = len(cands[0])
     if K**n << (n - 1) > ORACLE_CELL_BUDGET:

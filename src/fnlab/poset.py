@@ -3,14 +3,15 @@
 Elements are dense integer indices ``0..n-1``; the relation is stored as the
 full reflexive-transitive closure, one bitmask row per element, so that
 ``leq`` queries, intervals (``up[p] & down[q]``) and down/up sets are O(1)
-word operations.
+word operations.  Every builder fills the up rows and their transpose, the
+down rows, side by side, and hands both to one validator.
 Labels are decorative only. All values are immutable after validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -105,16 +106,23 @@ def validate_poset(
     """Validate a square boolean relation matrix and build a :class:`Poset`.
 
     Axioms are checked in order (reflexive, antisymmetric, transitive) and
-    the first violation is raised with its witness elements.
+    the first violation is raised with its witness elements.  One scan of
+    the matrix fills both the up and the down rows.
     """
     n = len(matrix)
     check_poset_size(n)
-    rows = []
-    for row in matrix:
+    up = []
+    down = [0] * n
+    for x, row in enumerate(matrix):
         if len(row) != n:
             raise InvalidArgument("relation matrix must be square")
-        rows.append(mask_of(i for i, v in enumerate(row) if v))
-    return _poset_from_up_rows(n, rows, labels)
+        m = 0
+        for y, v in enumerate(row):
+            if v:
+                m |= 1 << y
+                down[y] |= 1 << x
+        up.append(m)
+    return _poset_from_rows(n, up, down, labels)
 
 
 def _eliminate(rows: Sequence[int], p: int) -> tuple[int, int]:
@@ -138,111 +146,54 @@ def _eliminate(rows: Sequence[int], p: int) -> tuple[int, int]:
     return above, joined
 
 
-def _tiled(pattern: int, period: int, count: int) -> int:
-    """``pattern`` repeated ``count`` times (a power of two), ``period``
-    bits apart."""
-    while count > 1:
-        pattern |= pattern << period
-        period *= 2
-        count //= 2
-    return pattern
-
-
-@lru_cache(maxsize=1)
-def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
-    """The steps of the block-swap transpose of a ``w x w`` bit matrix
-    packed one row per ``w`` bits (bit ``y`` of row ``x`` at ``x*w + y``).
-
-    For each ``j = w/2, ..., 1`` the bits with ``x & j`` clear and ``y & j``
-    set trade places with their mirror ``j`` rows down and ``j`` columns
-    left, ``j*(w - 1)`` bits away (Warren, *Hacker's Delight*, 2nd ed.,
-    §7-3); each step is ``(shift, mask of the lower partners)``.
-
-    Only the last stride's masks are kept: they take ``w*w`` bits per step,
-    23.5 MB at ``w = 4096``, and a run transposes at one width at a time.
-    """
-    steps = []
-    j = w // 2
-    while j:
-        columns = _tiled(((1 << j) - 1) << j, 2 * j, w * w // (2 * j))
-        rows = _tiled((1 << j * w) - 1, 2 * j * w, w // (2 * j))
-        steps.append((j * (w - 1), columns & rows))
-        j //= 2
-    return tuple(steps)
-
-
-def _transpose(n: int, rows: Sequence[int]) -> list[int]:
-    """The transpose of ``n`` rows of ``n`` bits: rows packed into one
-    integer at a power-of-two stride of at least a byte, then one masked
-    swap per halving of the stride."""
-    w = max(8, 1 << (n - 1).bit_length())
-    width = w // 8
-    m = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
-    for shift, mask in _swap_masks(w):
-        t = (m ^ m >> shift) & mask
-        m ^= t ^ t << shift
-    packed = m.to_bytes(w * width, "little")
-    return [int.from_bytes(packed[y * width : (y + 1) * width], "little") for y in range(n)]
-
-
-def _poset_from_up_rows(n: int, rows: list[int], labels=None) -> Poset:
+def _poset_from_rows(n: int, up: Sequence[int], down: Sequence[int], labels=None) -> Poset:
     """The one validator: check up rows reflexive, antisymmetric and
     transitive, in that order, raise the first failure with its witness,
     and build the :class:`Poset`.
 
-    The down rows come from one block-swap transpose.  Transitivity is
-    checked by rejoining each row through the :meth:`Poset.covers`
-    elimination; every comparable pair is scanned only when a row fails to
-    rejoin, to name the first failing triple.
+    Each caller builds ``down``, the transpose of ``up``, where it builds
+    ``up``.  Transitivity is checked by rejoining each row through the
+    :meth:`Poset.covers` elimination; every comparable pair is scanned only
+    when a row fails to rejoin, to name the first failing triple.
     """
     check_poset_size(n)
     for x in range(n):
-        if not rows[x] >> x & 1:
+        if not up[x] >> x & 1:
             raise NotReflexive(x)
-    down = _transpose(n, rows)
     # the least x in a cycle pairs with the least y on both sides of it: a
     # partner below x would have been caught at that partner
     for x in range(n):
-        both = rows[x] & down[x] & ~(1 << x)
+        both = up[x] & down[x] & ~(1 << x)
         if both:
             raise NotAntisymmetric(x, (both & -both).bit_length() - 1)
     # a reflexive antisymmetric relation is transitive exactly when the
     # elimination rejoins every row: a triple x <= y <= z with z missing
     # from row x passes to a smaller row visited above x, until one fails
     # to rejoin. The pairwise scan then names the first triple.
-    if any(_eliminate(rows, x)[1] != rows[x] for x in range(n)):
+    if any(_eliminate(up, x)[1] != up[x] for x in range(n)):
         for x in range(n):
-            for y in bits_of(rows[x]):
-                missing = rows[y] & ~rows[x]
+            for y in bits_of(up[x]):
+                missing = up[y] & ~up[x]
                 if missing:
                     raise NotTransitive(x, y, (missing & -missing).bit_length() - 1)
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise InvalidArgument("labels must match element count")
-    return Poset(n, tuple(rows), tuple(down), labels)
+    return Poset(n, tuple(up), tuple(down), labels)
 
 
-def poset_from_covers(
-    n: int, covers: Iterable[tuple[int, int]], labels: Sequence[str] | None = None
-) -> Poset:
-    """Build a poset from Hasse/cover edges ``lo < hi``.
+def _reach(rows: list[int]) -> None:
+    """Close successor rows (each holding its own bit) in place under
+    reachability.
 
-    The reflexive-transitive closure is computed first and then validated,
-    so a cyclic edge list is reported as an antisymmetry failure.  Rows are
-    closed in depth-first post-order: a reached element whose row is
-    already closed joins whole, and any other (only on a cycle) is expanded
-    one step, its newly reached elements queued.  Without a cycle every
-    successor is closed first, so the closure costs one join per edge.
+    Rows are closed in depth-first post-order: a reached element whose row
+    is already closed joins whole, and any other (only on a cycle) is
+    expanded one step, its newly reached elements queued.  Without a cycle
+    every successor is closed first, so the closure costs one join per edge.
     """
-    check_poset_size(n)
-    rows = [1 << x for x in range(n)]
-    for lo, hi in covers:
-        if not (0 <= lo < n and 0 <= hi < n):
-            raise IndexOutOfRange(f"cover edge ({lo}, {hi}) out of range")
-        rows[lo] |= 1 << hi
     seen = closed = 0
-    for root in range(n):
+    for root in range(len(rows)):
         if seen >> root & 1:
             continue
         seen |= 1 << root
@@ -270,7 +221,29 @@ def poset_from_covers(
                     work = work ^ low | new
             rows[x] = acc
             closed |= 1 << x
-    return _poset_from_up_rows(n, rows, labels)
+
+
+def poset_from_covers(
+    n: int, covers: Iterable[tuple[int, int]], labels: Sequence[str] | None = None
+) -> Poset:
+    """Build a poset from Hasse/cover edges ``lo < hi``.
+
+    The reflexive-transitive closure is computed first and then validated,
+    so a cyclic edge list is reported as an antisymmetry failure.  The up
+    rows close the edges and the down rows the reversed edges, each by
+    :func:`_reach`.
+    """
+    check_poset_size(n)
+    up = [1 << x for x in range(n)]
+    down = list(up)
+    for lo, hi in covers:
+        if not (0 <= lo < n and 0 <= hi < n):
+            raise IndexOutOfRange(f"cover edge ({lo}, {hi}) out of range")
+        up[lo] |= 1 << hi
+        down[hi] |= 1 << lo
+    _reach(up)
+    _reach(down)
+    return _poset_from_rows(n, up, down, labels)
 
 
 def chain(n: int) -> Poset:

@@ -44,7 +44,7 @@ def valid_pair_file(tmp_path):
 
 @pytest.fixture
 def invalid_pair_file(tmp_path):
-    pair = FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {1}])
+    pair = FnPair(chain(2), [{0}, {1}], [{0}, {1}])
     return write(tmp_path / "bad_pair.json", ser.dumps(ser.pair_to_obj(pair)))
 
 

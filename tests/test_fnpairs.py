@@ -52,16 +52,21 @@ class TestVerifySingle:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             verify_single(chain(2), [{0}, {5}])
+        # a negative index gets the same error as one past the end
+        with pytest.raises(IndexOutOfRange, match=r"^h\(0\) mentions elements outside the poset$"):
+            verify_single(chain(2), [[0, -3], [1]])
+        with pytest.raises(IndexOutOfRange, match=r"^f\(0\) mentions elements outside the poset$"):
+            FnPair(chain(2), [[-1], [1]], [[0], [1]])
 
 
 class TestVerifyPair:
     def test_downsets_valid(self):
         P = chain(2)
-        pair = FnPair.from_sets(P, [{0}, {0, 1}], [{0}, {0, 1}])
+        pair = FnPair(P, [{0}, {0, 1}], [{0}, {0, 1}])
         assert verify_pair(pair).valid
 
     def test_singletons_clause_one(self):
-        v = verify_pair(FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {1}]))
+        v = verify_pair(FnPair(chain(2), [{0}, {1}], [{0}, {1}]))
         assert not v.valid and v.violation == (0, 1, 1)
 
     def test_trivial_pair_on_diamond(self):
@@ -224,7 +229,7 @@ class TestInterpolantLookup:
         assert interpolant_lookup(pair, 0, 3) == (3, 0)
 
     def test_chain2_asymmetric_pair(self):
-        pair = FnPair.from_sets(chain(2), [{0}, {1}], [{0, 1}, {0, 1}])
+        pair = FnPair(chain(2), [{0}, {1}], [{0, 1}, {0, 1}])
         assert verify_pair(pair).valid
         assert interpolant_lookup(pair, 0, 1) == (0, 1)
 
@@ -233,12 +238,12 @@ class TestInterpolantLookup:
             interpolant_lookup(trivial_pair(antichain(2)), 0, 1)
 
     def test_no_witness_on_invalid_pair(self):
-        pair = FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {1}])
+        pair = FnPair(chain(2), [{0}, {1}], [{0}, {1}])
         with pytest.raises(NoWitness):
             interpolant_lookup(pair, 0, 1)
 
     def test_no_second_clause_witness(self):
         # f(0) ∩ g(1) holds 0, but g(0) ∩ f(1) is empty
-        pair = FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {0}])
+        pair = FnPair(chain(2), [{0}, {1}], [{0}, {0}])
         with pytest.raises(NoWitness, match=r"g\(0\) ∩ f\(1\)"):
             interpolant_lookup(pair, 0, 1)

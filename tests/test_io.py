@@ -59,7 +59,7 @@ class TestVerdictRoundTrip:
         assert back == v
 
     def test_invalid_with_violation(self):
-        v = verify_pair(FnPair.from_sets(chain(2), [{0}, {1}], [{0}, {1}]))
+        v = verify_pair(FnPair(chain(2), [{0}, {1}], [{0}, {1}]))
         back = ser.verdict_from_obj(ser.verdict_to_obj(v))
         assert back == Verdict(False, (0, 1, 1))
 

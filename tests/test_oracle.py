@@ -19,7 +19,7 @@ from fnlab.oracle import (
     reference_valid_pair,
     reference_valid_single,
 )
-from fnlab.poset import SubsetView, _poset_from_up_rows, antichain, bits_of, chain, diamond
+from fnlab.poset import SubsetView, _poset_from_rows, antichain, bits_of, chain, diamond
 from helpers import random_total_map
 
 # Unlabeled poset counts (OEIS A000112; Brinkmann & McKay 2002): one
@@ -29,10 +29,12 @@ UNLABELED_POSET_COUNTS = (1, 1, 2, 5, 16, 63)
 
 def relabel(P, perm):
     """``P`` with element ``x`` renamed ``perm[x]``."""
-    rows = [0] * P.n
+    up = [0] * P.n
+    down = [0] * P.n
     for x in range(P.n):
-        rows[perm[x]] = sum(1 << perm[y] for y in bits_of(P.up[x]))
-    return _poset_from_up_rows(P.n, rows)
+        up[perm[x]] = sum(1 << perm[y] for y in bits_of(P.up[x]))
+        down[perm[x]] = sum(1 << perm[y] for y in bits_of(P.down[x]))
+    return _poset_from_rows(P.n, up, down)
 
 
 class TestEnumeration:
@@ -128,7 +130,8 @@ class TestCanonicalForm:
     def test_key_is_idempotent(self):
         for n in range(6):
             for key in {_canonical_rows(P) for P in enumerate_posets(n)}:
-                assert _canonical_rows(_poset_from_up_rows(n, list(key))) == key
+                down = [sum(1 << x for x in range(n) if key[x] >> y & 1) for y in range(n)]
+                assert _canonical_rows(_poset_from_rows(n, key, down)) == key
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(0xCA11)

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fnlab.errors import (
@@ -29,9 +29,7 @@ from fnlab.poset import (
     cofinality_below,
     coinitiality_above,
     diamond,
-    _poset_from_up_rows,
-    _swap_masks,
-    _transpose,
+    _poset_from_rows,
     poset_from_covers,
     subposet_degree,
     validate_poset,
@@ -197,29 +195,47 @@ class TestAgainstReferences:
         check_against_references(*case)
 
 
+def random_covers(n, rng):
+    """Up to ``min(n * n // 4, 4 * n)`` random edges, each ``lo -> hi`` in
+    a shuffled index order; then sometimes one edge reversed, or a few
+    random edges in either direction, which may close cycles."""
+    if n < 2:
+        return []
+    order = rng.sample(range(n), n)
+    covers = []
+    for _ in range(rng.randint(0, min(n * n // 4, 4 * n))):
+        i, j = sorted(rng.sample(range(n), 2))
+        covers.append((order[i], order[j]))
+    kind = rng.randrange(3)
+    if kind == 1 and covers:
+        covers.append(rng.choice(covers)[::-1])
+    elif kind == 2:
+        covers.extend(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3)))
+    return covers
+
+
 class TestTranspose:
     @pytest.mark.parametrize("n", [*range(71), 255, 256, 257, 1024])
-    @settings(max_examples=4)
-    @given(st.integers(0, 2**32), st.integers(0, 3))
-    def test_matches_bit_loop(self, n, seed, thinning):
-        rng = random.Random(seed)
-        rows = []
-        for _ in range(n):
-            row = rng.getrandbits(n)
-            for _ in range(thinning):
-                row &= rng.getrandbits(n)
-            rows.append(row)
-        assert _transpose(n, rows) == bitloop_transpose(n, rows)
+    def test_matches_bit_loop(self, n):
+        """The down rows are the bit-loop transpose of the reference
+        closure, or a cyclic list fails with the reference witness."""
+        rng = random.Random(n)
+        for _ in range(3):
+            covers = random_covers(n, rng)
+            rows = fixpoint_closure(n, covers)
+            try:
+                P = poset_from_covers(n, covers)
+            except NotAntisymmetric as e:
+                with pytest.raises(NotAntisymmetric) as ref:
+                    pairwise_axioms(n, rows)
+                assert str(e) == str(ref.value)
+            else:
+                assert P.up == tuple(rows)
+                assert P.down == tuple(bitloop_transpose(n, rows))
 
-    def test_swap_masks_keep_one_stride(self):
-        """After a 4096-element order and then a 3-element one, only the
-        last stride's masks are cached, and asking for them again hits."""
-        poset_from_covers(4096, powerset_algebra(12).as_poset().covers())
-        chain(3)
-        assert _swap_masks.cache_info().currsize == 1
-        hits = _swap_masks.cache_info().hits
-        _swap_masks(8)
-        assert _swap_masks.cache_info().hits == hits + 1
+    def test_powerset_order_from_its_covers(self):
+        P = powerset_algebra(12).as_poset()
+        assert poset_from_covers(4096, P.covers()) == P  # up and down rows
 
 
 class TestValidate:
@@ -257,7 +273,7 @@ class TestValidate:
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            _poset_from_up_rows(-1, [])
+            _poset_from_rows(-1, [], [])
         with pytest.raises(ValueError):
             poset_from_covers(-1, [])
 

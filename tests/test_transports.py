@@ -81,7 +81,7 @@ class TestRetract:
         Q, P = chain(3), chain(2)
         i = MonotoneMap(P, Q, (0, 2))
         j = MonotoneMap(Q, P, (0, 0, 1))
-        bad = FnPair.from_sets(Q, [{0}, {1}, {2}], [{0}, {1}, {2}])
+        bad = FnPair(Q, [{0}, {1}, {2}], [{0}, {1}, {2}])
         with pytest.raises(InvalidInputPair):
             transport_retract(bad, i, j)
 
@@ -244,7 +244,7 @@ class TestCoproductTransport:
         B = powerset_algebra(1)
         C = coproduct([B])
         P = B.as_poset()
-        bad = FnPair.from_sets(P, [{0}, {1}], [{0}, {1}])
+        bad = FnPair(P, [{0}, {1}], [{0}, {1}])
         with pytest.raises(InvalidInputPair):
             transport_coproduct(C, [bad])
 
