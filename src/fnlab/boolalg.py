@@ -32,14 +32,7 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateCofactor,
-    EmptySubset,
-    InvalidArgument,
-    RelationViolation,
-    SizeExceeded,
-    ZeroMember,
-)
+from .errors import InvalidArgument, RelationViolation, SizeExceeded
 from .poset import Poset, bits_of, check_poset_size
 
 ALGEBRA_CAP = 2**20
@@ -379,7 +372,7 @@ class CoproductAlgebra:
             raise InvalidArgument("need at least one cofactor")
         for B in cofactors:
             if B.size < 2:
-                raise DegenerateCofactor("cofactors must have at least two elements")
+                raise InvalidArgument("cofactors must have at least two elements")
         self.cofactors = cofactors
         self.atom_lists = [B.atoms() for B in cofactors]
         self.arities = [len(a) for a in self.atom_lists]
@@ -531,10 +524,10 @@ def hyperspace_basic_set(E: ExponentialAlgebra, F) -> int:
     every member of ``F`` (``p`` is not below any ``-f``)."""
     members = list(F)
     if not members:
-        raise EmptySubset("basic sets need a nonempty family")
+        raise InvalidArgument("basic sets need a nonempty family")
     for f in members:
         if f == 0:
-            raise ZeroMember("basic set members must be nonzero")
+            raise InvalidArgument("basic set members must be nonzero")
     out = E.bracket(_join(members))
     for f in members:
         out &= E.algebra.one ^ E.bracket(E.base.complement(f))

@@ -1,7 +1,12 @@
 """Exception types shared across the package.
 
-Every error carries its witness data as attributes so callers (and the CLI)
-can render precise diagnostics without parsing messages.
+Every refused argument is an ``InvalidArgument`` whose message names the
+fault, except an index outside the poset, which is an ``IndexOutOfRange``
+(also an ``IndexError``). The classes that carry witness data as attributes,
+so callers can render diagnostics without parsing messages, are the
+order-axiom failures ``NotReflexive``, ``NotAntisymmetric`` and
+``NotTransitive``, and ``NotMonotone``, ``BudgetExceeded``,
+``TransportDefect`` and ``ParseError``.
 """
 
 
@@ -10,8 +15,10 @@ class FnLabError(Exception):
 
 
 class InvalidArgument(FnLabError, ValueError):
-    """An argument outside the domain of a library function (a negative
-    size, a capacity below 1, a generator outside the algebra)."""
+    """An argument outside the hypotheses of a library function: a negative
+    size, a capacity below 1, a generator outside the algebra, a map that is
+    not total, a pair that is not valid or not on the cofactor's order, a map
+    that is not a retraction, a degenerate cofactor or an empty view."""
 
 
 class NotReflexive(FnLabError):
@@ -57,54 +64,14 @@ class IndexOutOfRange(FnLabError, IndexError):
     pass
 
 
-class DomainMismatch(FnLabError):
-    pass
-
-
 class NotMonotone(FnLabError):
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
         super().__init__(f"map is not order-preserving at {p} <= {q}")
 
 
-class NotPermutation(FnLabError):
-    pass
-
-
-class MapNotTotal(FnLabError):
-    pass
-
-
-class NotComparable(FnLabError):
-    pass
-
-
-class NoWitness(FnLabError):
-    """No interpolant exists for a comparable pair; the map pair is invalid."""
-
-
-class DegenerateCofactor(FnLabError):
-    """One-element boolean algebras cannot be coproduct cofactors."""
-
-
-class ZeroMember(FnLabError):
-    pass
-
-
 class RelationViolation(FnLabError):
     """Internal consistency failure while building an exponential algebra."""
-
-
-class NotARetraction(FnLabError):
-    pass
-
-
-class InvalidInputPair(FnLabError):
-    pass
-
-
-class EmptySubset(FnLabError):
-    pass
 
 
 class TransportDefect(FnLabError):

@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from ..errors import (
-    IndexOutOfRange,
-    InvalidArgument,
-    MapNotTotal,
-    NoWitness,
-    NotComparable,
-    NotPermutation,
-)
+from ..errors import IndexOutOfRange, InvalidArgument
 from ..poset import Poset, bits_of, mask_of
 
 SetMap = tuple[int, ...]  # one bitmask per poset element
@@ -50,11 +43,20 @@ class CapacityPair(NamedTuple):
 
 def _coerce_map(P: Poset, values: Sequence[object], name: str) -> SetMap:
     if len(values) != P.n:
-        raise MapNotTotal(f"{name} must assign a set to each of the {P.n} elements")
+        raise InvalidArgument(f"{name} must assign a set to each of the {P.n} elements")
     masks = []
     for x, v in enumerate(values):
-        # a negative index is outside the poset, like one of n or more
-        m = v if isinstance(v, int) else mask_of(i if i >= 0 else P.n for i in v)
+        if type(v) is int:  # not bool, not a float or a numpy scalar
+            m = v
+        else:
+            try:
+                idx = tuple(v)
+            except TypeError:
+                idx = None
+            if idx is None or any(type(i) is not int for i in idx):
+                raise InvalidArgument(f"{name}({x}) must be a mask or an iterable of indices")
+            # an index outside [0, n) sets bit n, so a huge one allocates nothing
+            m = mask_of(i if 0 <= i < P.n else P.n for i in idx)
         if m < 0 or m >> P.n:
             raise IndexOutOfRange(f"{name}({x}) mentions elements outside the poset")
         masks.append(m)
@@ -181,7 +183,7 @@ def wellorder_map(P: Poset, order: Sequence[int]) -> SetMap:
     Always a valid single map, with ``|h(q)| = position(q) + 1``.
     """
     if sorted(order) != list(range(P.n)):
-        raise NotPermutation("order must be a permutation of the elements")
+        raise InvalidArgument("order must be a permutation of the elements")
     h = [0] * P.n
     prefix = 0
     for x in order:
@@ -196,12 +198,12 @@ def interpolant_lookup(pair: FnPair, p: int, q: int) -> tuple[int, int]:
     P.check_index(p)
     P.check_index(q)
     if not P.up[p] >> q & 1:
-        raise NotComparable(f"{p} <= {q} does not hold")
+        raise InvalidArgument(f"{p} <= {q} does not hold")
     box = P.up[p] & P.down[q]
     r = pair.f[p] & pair.g[q] & box
     s = pair.g[p] & pair.f[q] & box
     if not r:
-        raise NoWitness(f"no witness in f({p}) ∩ g({q}) within [{p}, {q}]")
+        raise InvalidArgument(f"no witness in f({p}) ∩ g({q}) within [{p}, {q}]")
     if not s:
-        raise NoWitness(f"no witness in g({p}) ∩ f({q}) within [{p}, {q}]")
+        raise InvalidArgument(f"no witness in g({p}) ∩ f({q}) within [{p}, {q}]")
     return ((r & -r).bit_length() - 1, (s & -s).bit_length() - 1)

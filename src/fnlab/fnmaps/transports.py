@@ -15,14 +15,7 @@ from ..boolalg import (
     subalgebra_index_mask,
     subalgebra_masks,
 )
-from ..errors import (
-    DomainMismatch,
-    EmptySubset,
-    IndexOutOfRange,
-    InvalidInputPair,
-    NotARetraction,
-    TransportDefect,
-)
+from ..errors import IndexOutOfRange, InvalidArgument, TransportDefect
 from ..poset import MonotoneMap, SubsetView, _extremal_in, bits_of, check_retraction
 from .core import FnPair, verify_pair
 
@@ -30,7 +23,7 @@ from .core import FnPair, verify_pair
 def _require_valid(pair: FnPair, what: str) -> None:
     verdict = verify_pair(pair)
     if not verdict.valid:
-        raise InvalidInputPair(f"{what} is not a valid pair: violation {verdict.violation}")
+        raise InvalidArgument(f"{what} is not a valid pair: violation {verdict.violation}")
 
 
 def _checked(pair: FnPair) -> FnPair:
@@ -48,9 +41,9 @@ def transport_retract(pair: FnPair, i: MonotoneMap, j: MonotoneMap) -> FnPair:
     ``p -> j[g(i(p))]``.  Capacities never increase.
     """
     if not check_retraction(i, j):
-        raise NotARetraction("j ∘ i is not the identity")
+        raise InvalidArgument("j ∘ i is not the identity")
     if pair.poset != i.cod:
-        raise DomainMismatch("input pair must live on the codomain of the section")
+        raise InvalidArgument("input pair must live on the codomain of the section")
     _require_valid(pair, "retract input")
     P = i.dom
     F = tuple(j.image_mask(pair.f[i.image[p]]) for p in range(P.n))
@@ -69,9 +62,9 @@ def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int
     """
     Q = pair.poset
     if A.ambient != Q:
-        raise DomainMismatch("view must live on the pair's poset")
+        raise InvalidArgument("view must live on the pair's poset")
     if not A.members:
-        raise EmptySubset("cannot transport onto an empty view")
+        raise InvalidArgument("cannot transport onto an empty view")
     _require_valid(pair, "subalgebra input")
     induced, elems = A.as_poset()
     # each trace L_q in local indices, converted once
@@ -120,11 +113,11 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     their images, so each distinct set is closed once.
     """
     if len(pairs) != len(C.cofactors):
-        raise DomainMismatch("need exactly one pair per cofactor")
+        raise InvalidArgument("need exactly one pair per cofactor")
     posets = [B.as_poset() for B in C.cofactors]
     for pr, ps in zip(pairs, posets):
         if pr.poset != ps:
-            raise DomainMismatch("pair does not live on its cofactor's element order")
+            raise InvalidArgument("pair does not live on its cofactor's element order")
     for idx, pr in enumerate(pairs):
         _require_valid(pr, f"cofactor {idx} input")
     base_poset = C.base.as_poset()
@@ -174,7 +167,7 @@ def transport_exponential(E: ExponentialAlgebra, pair: FnPair) -> FnPair:
     """
     base = E.base
     if pair.poset != base.as_poset():
-        raise DomainMismatch("pair must live on the base algebra's element order")
+        raise InvalidArgument("pair must live on the base algebra's element order")
     _require_valid(pair, "exponential input")
     exp_poset = E.algebra.as_poset()
     # 0 and 1 have no literals.  Every other x takes the literals of the

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
-    DomainMismatch,
     IndexOutOfRange,
     InvalidArgument,
     NotAntisymmetric,
@@ -293,7 +292,7 @@ class MonotoneMap:
 def check_retraction(i: MonotoneMap, j: MonotoneMap) -> bool:
     """True iff ``j`` retracts ``i``: both composable and ``j(i(p)) = p``."""
     if i.cod != j.dom or i.dom != j.cod:
-        raise DomainMismatch("retraction check needs i: P -> Q and j: Q -> P")
+        raise InvalidArgument("retraction check needs i: P -> Q and j: Q -> P")
     return all(j.image[i.image[p]] == p for p in range(i.dom.n))
 
 

@@ -176,6 +176,8 @@ def poset_from_obj(obj) -> Poset:
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ParseError("poset 'labels' must be a list")
+    if not all(type(s) is str for s in labels or ()):
+        raise ParseError("poset labels must be strings")
     return poset_from_covers(n, [tuple(c) for c in covers], labels)
 
 

@@ -30,13 +30,7 @@ from fnlab.boolalg import (
     tree_algebra,
     tree_nodes,
 )
-from fnlab.errors import (
-    DegenerateCofactor,
-    EmptySubset,
-    InvalidArgument,
-    SizeExceeded,
-    ZeroMember,
-)
+from fnlab.errors import FnLabError, InvalidArgument, SizeExceeded
 from fnlab.oracle import fixpoint_subalgebra
 from fnlab.poset import Poset, diamond
 
@@ -323,7 +317,7 @@ class TestCoproduct:
         assert C.katoms == 6
 
     def test_degenerate_cofactor_rejected(self):
-        with pytest.raises(DegenerateCofactor):
+        with pytest.raises(InvalidArgument, match="^cofactors must have at least two elements$"):
             coproduct([powerset_algebra(1), powerset_algebra(0)])
 
     def test_size_cap(self):
@@ -436,12 +430,12 @@ class TestHyperspaceBasicSets:
         assert hyperspace_basic_set(E, [1, 2]) == 0b100
 
     def test_empty_family_rejected(self):
-        with pytest.raises(EmptySubset):
+        with pytest.raises(InvalidArgument, match="^basic sets need a nonempty family$"):
             hyperspace_basic_set(exponential(powerset_algebra(2)), [])
 
     def test_zero_member_rejected(self):
         E = exponential(powerset_algebra(2))
-        with pytest.raises(ZeroMember):
+        with pytest.raises(InvalidArgument, match="^basic set members must be nonzero$"):
             hyperspace_basic_set(E, [0, 1])
 
 
@@ -597,4 +591,18 @@ def test_no_bare_value_errors():
         and isinstance(node.exc.func, ast.Name)
         and node.exc.func.id == "ValueError"
     ]
+    assert found == []
+
+
+def test_refused_arguments_share_one_class():
+    """Every refused argument is an ``InvalidArgument``: an error class of its
+    own either carries witness data (its own ``__init__``) or is one of the
+    message-only classes with a distinct meaning or exit code."""
+    message_only = {"InvalidArgument", "IndexOutOfRange", "SizeExceeded", "RelationViolation"}
+    found, todo = [], [FnLabError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if "__init__" not in vars(cls) and cls.__name__ not in message_only:
+                found.append(cls.__name__)
     assert found == []

@@ -209,6 +209,7 @@ class TestSearch:
             '{"n": "x", "covers": []}',
             '{"n": -1, "covers": []}',
             '{"n": 2, "covers": [], "labels": ["a"]}',
+            '{"n": 2, "covers": [[0, 1]], "labels": [null, true]}',
         ],
     )
     def test_malformed_poset_exit_two(self, tmp_path, capsys, poset):
@@ -383,6 +384,14 @@ def test_bad_algebra_file_exit_two(tmp_path, valid_pair_file, capsys, args, name
     pair = ["--pair", valid_pair_file] if args[0] == "transport" else []
     assert main([*args, alg, *pair]) == 2
     assert assert_one_error_line(capsys) == ""
+
+
+def test_degenerate_cofactor_file_exit_two(tmp_path, capsys):
+    degenerate = '{"kind": "coproduct", "cofactors": [{"kind": "powerset", "atoms": 0}]}'
+    f = write(tmp_path / "c.json", degenerate)
+    assert main(["construct", "exponential", "--base", f]) == 2
+    err = "error: bad coproduct algebra: cofactors must have at least two elements\n"
+    assert capsys.readouterr() == ("", err)
 
 
 class TestTransport:

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fnlab.errors import (
-    IndexOutOfRange,
-    InvalidArgument,
-    MapNotTotal,
-    NotComparable,
-    NotPermutation,
-    NoWitness,
-)
+from fnlab.errors import IndexOutOfRange, InvalidArgument
 from fnlab.fnmaps import (
     FnPair,
     Verdict,
@@ -46,7 +39,9 @@ class TestVerifySingle:
         assert verify_single(chain(3), [{0, 1}, {1}, {1, 2}]).valid
 
     def test_not_total(self):
-        with pytest.raises(MapNotTotal):
+        with pytest.raises(
+            InvalidArgument, match="^h must assign a set to each of the 2 elements$"
+        ):
             verify_single(chain(2), [{0}])
 
     def test_out_of_range(self):
@@ -57,6 +52,19 @@ class TestVerifySingle:
             verify_single(chain(2), [[0, -3], [1]])
         with pytest.raises(IndexOutOfRange, match=r"^f\(0\) mentions elements outside the poset$"):
             FnPair(chain(2), [[-1], [1]], [[0], [1]])
+        # an index far past the poset is refused without building its mask
+        with pytest.raises(IndexOutOfRange, match=r"^g\(1\) mentions elements outside the poset$"):
+            FnPair(chain(2), [[0], [1]], [[0], [10**15]])
+
+    @pytest.mark.parametrize("entry", [True, [0.0], ["0"], "0", None, 1.5, [True], [None]])
+    def test_entry_neither_mask_nor_indices(self, entry):
+        tail = " must be a mask or an iterable of indices$"
+        with pytest.raises(InvalidArgument, match=rf"^f\(0\){tail}"):
+            FnPair(chain(2), [entry, [1]], [[0], [1]])
+        with pytest.raises(InvalidArgument, match=rf"^g\(1\){tail}"):
+            FnPair(chain(2), [[0], 2], [1, entry])
+        with pytest.raises(InvalidArgument, match=rf"^h\(0\){tail}"):
+            verify_single(chain(2), [entry, [1]])
 
 
 class TestVerifyPair:
@@ -214,7 +222,7 @@ class TestWellorderMap:
         assert wellorder_map(chain(1), [0]) == (1,)
 
     def test_not_permutation(self):
-        with pytest.raises(NotPermutation):
+        with pytest.raises(InvalidArgument, match="^order must be a permutation of the elements$"):
             wellorder_map(chain(2), [0, 0])
 
 
@@ -234,16 +242,20 @@ class TestInterpolantLookup:
         assert interpolant_lookup(pair, 0, 1) == (0, 1)
 
     def test_not_comparable(self):
-        with pytest.raises(NotComparable):
+        with pytest.raises(InvalidArgument, match="^0 <= 1 does not hold$"):
             interpolant_lookup(trivial_pair(antichain(2)), 0, 1)
 
     def test_no_witness_on_invalid_pair(self):
         pair = FnPair(chain(2), [{0}, {1}], [{0}, {1}])
-        with pytest.raises(NoWitness):
+        with pytest.raises(
+            InvalidArgument, match=r"^no witness in f\(0\) ∩ g\(1\) within \[0, 1\]$"
+        ):
             interpolant_lookup(pair, 0, 1)
 
     def test_no_second_clause_witness(self):
         # f(0) ∩ g(1) holds 0, but g(0) ∩ f(1) is empty
         pair = FnPair(chain(2), [{0}, {1}], [{0}, {0}])
-        with pytest.raises(NoWitness, match=r"g\(0\) ∩ f\(1\)"):
+        with pytest.raises(
+            InvalidArgument, match=r"^no witness in g\(0\) ∩ f\(1\) within \[0, 1\]$"
+        ):
             interpolant_lookup(pair, 0, 1)

@@ -34,6 +34,12 @@ class TestPosetRoundTrip:
         with pytest.raises(ParseError):
             ser.poset_from_obj({"covers": []})
 
+    @pytest.mark.parametrize("labels", [[None, True], [1, {"a": 2}], ["lo", 2], [["lo"], "hi"]])
+    def test_non_string_label_refused(self, labels):
+        """A label that is not a string would be written back as its repr."""
+        with pytest.raises(ParseError, match="^poset labels must be strings$"):
+            ser.poset_from_obj({"n": 2, "covers": [[0, 1]], "labels": labels})
+
 
 class TestPairRoundTrip:
     def test_inline_poset(self):
@@ -199,6 +205,12 @@ class TestAlgebraRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             ser.algebra_from_obj({"kind": "mystery"})
+
+    def test_degenerate_cofactor_refused(self):
+        obj = {"kind": "coproduct", "cofactors": [{"kind": "powerset", "atoms": 0}]}
+        with pytest.raises(ParseError) as e:
+            ser.algebra_from_obj(obj)
+        assert str(e.value) == "bad coproduct algebra: cofactors must have at least two elements"
 
 
 class TestCanonicalBytes:

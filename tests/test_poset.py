@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fnlab.errors import (
-    DomainMismatch,
     FnLabError,
     IndexOutOfRange,
+    InvalidArgument,
     NotAntisymmetric,
     NotMonotone,
     NotReflexive,
@@ -392,7 +392,9 @@ class TestMonotoneMap:
 
     def test_domain_mismatch(self):
         i = MonotoneMap(chain(2), chain(3), (0, 2))
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(
+            InvalidArgument, match="^retraction check needs i: P -> Q and j: Q -> P$"
+        ):
             check_retraction(i, identity_map(chain(2)))
 
 

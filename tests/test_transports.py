@@ -7,23 +7,18 @@ from fnlab.boolalg import (
     coproduct,
     exponential,
     generated_subalgebra,
+    hyperspace_basic_set,
     literal_normal_forms,
     powerset_algebra,
     subalgebra_index_mask,
     subalgebra_masks,
     tree_algebra,
 )
-from fnlab.errors import (
-    DomainMismatch,
-    EmptySubset,
-    IndexOutOfRange,
-    InvalidArgument,
-    InvalidInputPair,
-    NotARetraction,
-)
+from fnlab.errors import IndexOutOfRange, InvalidArgument
 from fnlab.fnmaps import (
     FnPair,
     cofactor_projections,
+    interpolant_lookup,
     transport_coproduct,
     transport_exponential,
     transport_retract,
@@ -31,6 +26,7 @@ from fnlab.fnmaps import (
     transports,
     trivial_pair,
     verify_pair,
+    verify_single,
     wellorder_map,
 )
 from fnlab.gen import random_poset, random_valid_pair
@@ -38,8 +34,10 @@ from fnlab.oracle import brute_cofactor_minmax, brute_minmax_in_subset
 from fnlab.poset import (
     MonotoneMap,
     SubsetView,
+    antichain,
     bits_of,
     chain,
+    check_retraction,
     diamond,
     subposet_degree,
 )
@@ -64,13 +62,15 @@ class TestRetract:
         Q, P = chain(3), chain(2)
         i = MonotoneMap(P, Q, (0, 2))
         j = MonotoneMap(Q, P, (0, 0, 0))
-        with pytest.raises(NotARetraction):
+        with pytest.raises(InvalidArgument, match="^j ∘ i is not the identity$"):
             transport_retract(trivial_pair(Q), i, j)
 
     def test_pair_off_the_section_codomain(self):
         i = MonotoneMap(chain(2), chain(3), (0, 2))
         j = MonotoneMap(chain(3), chain(2), (0, 0, 1))
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(
+            InvalidArgument, match="^input pair must live on the codomain of the section$"
+        ):
             transport_retract(trivial_pair(diamond()), i, j)
 
     def test_empty_poset_has_no_blow_up(self):
@@ -82,7 +82,9 @@ class TestRetract:
         i = MonotoneMap(P, Q, (0, 2))
         j = MonotoneMap(Q, P, (0, 0, 1))
         bad = FnPair(Q, [{0}, {1}, {2}], [{0}, {1}, {2}])
-        with pytest.raises(InvalidInputPair):
+        with pytest.raises(
+            InvalidArgument, match=r"^retract input is not a valid pair: violation \(0, 1, 1\)$"
+        ):
             transport_retract(bad, i, j)
 
     def test_seeded_instances_valid_with_smaller_capacity(self):
@@ -119,11 +121,11 @@ class TestSubalgebraView:
         assert out.poset.n == 4 and verify_pair(out).valid
 
     def test_view_on_another_poset(self):
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(InvalidArgument, match="^view must live on the pair's poset$"):
             transport_subalgebra(trivial_pair(diamond()), SubsetView(chain(3), frozenset({0})))
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(EmptySubset):
+        with pytest.raises(InvalidArgument, match="^cannot transport onto an empty view$"):
             transport_subalgebra(trivial_pair(chain(2)), SubsetView(chain(2), frozenset()))
 
     def test_seeded_capacity_bound(self):
@@ -232,12 +234,14 @@ class TestCoproductTransport:
 
     def test_pair_count_mismatch(self):
         C = coproduct([powerset_algebra(1)] * 2)
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(InvalidArgument, match="^need exactly one pair per cofactor$"):
             transport_coproduct(C, [trivial_pair(powerset_algebra(1).as_poset())])
 
     def test_pair_off_the_cofactor_order(self):
         C = coproduct([powerset_algebra(2)])
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(
+            InvalidArgument, match="^pair does not live on its cofactor's element order$"
+        ):
             transport_coproduct(C, [trivial_pair(chain(4))])
 
     def test_invalid_input_rejected(self):
@@ -245,7 +249,9 @@ class TestCoproductTransport:
         C = coproduct([B])
         P = B.as_poset()
         bad = FnPair(P, [{0}, {1}], [{0}, {1}])
-        with pytest.raises(InvalidInputPair):
+        with pytest.raises(
+            InvalidArgument, match=r"^cofactor 0 input is not a valid pair: violation \(0, 1, 1\)$"
+        ):
             transport_coproduct(C, [bad])
 
 
@@ -269,7 +275,9 @@ class TestExponentialTransport:
 
     def test_wrong_poset_rejected(self):
         B = powerset_algebra(2)
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(
+            InvalidArgument, match="^pair must live on the base algebra's element order$"
+        ):
             transport_exponential(exponential(B), trivial_pair(chain(3)))
 
     def test_carrier_base(self):
@@ -422,3 +430,48 @@ def test_coproduct_tables_frozen():
             projections = [cofactor_projections(C, j, x) for j in range(len(C.cofactors))]
             h.update(repr((forms, projections)).encode())
     assert h.hexdigest() == "74b7b0d9e8d38ce0853de7866fa0ee150a3096fc5c238ab4b1300b8f2f3f83fb"
+
+
+def _refusals():
+    """One refused call per ``InvalidArgument`` raise site of the order,
+    algebra, pair and transport modules, with its message."""
+    c2, c3, E = chain(2), chain(3), exponential(powerset_algebra(2))
+    up, flat = MonotoneMap(c2, c3, (0, 2)), MonotoneMap(c3, c2, (0, 0, 1))
+    singletons = FnPair(c2, [{0}, {1}], [{0}, {1}])
+    return [
+        (lambda: check_retraction(up, identity_map(c2)),
+         "retraction check needs i: P -> Q and j: Q -> P"),
+        (lambda: coproduct([powerset_algebra(1), powerset_algebra(0)]),
+         "cofactors must have at least two elements"),
+        (lambda: hyperspace_basic_set(E, []), "basic sets need a nonempty family"),
+        (lambda: hyperspace_basic_set(E, [0, 1]), "basic set members must be nonzero"),
+        (lambda: verify_single(c2, [{0}]), "h must assign a set to each of the 2 elements"),
+        (lambda: wellorder_map(c2, [0, 0]), "order must be a permutation of the elements"),
+        (lambda: interpolant_lookup(trivial_pair(antichain(2)), 0, 1), "0 <= 1 does not hold"),
+        (lambda: interpolant_lookup(singletons, 0, 1), "no witness in f(0) ∩ g(1) within [0, 1]"),
+        (lambda: interpolant_lookup(FnPair(c2, [{0}, {1}], [{0}, {0}]), 0, 1),
+         "no witness in g(0) ∩ f(1) within [0, 1]"),
+        (lambda: transport_retract(FnPair(c3, [{0}, {1}, {2}], [{0}, {1}, {2}]), up, flat),
+         "retract input is not a valid pair: violation (0, 1, 1)"),
+        (lambda: transport_retract(trivial_pair(c3), up, MonotoneMap(c3, c2, (0, 0, 0))),
+         "j ∘ i is not the identity"),
+        (lambda: transport_retract(trivial_pair(diamond()), up, flat),
+         "input pair must live on the codomain of the section"),
+        (lambda: transport_subalgebra(trivial_pair(diamond()), SubsetView(c3, frozenset({0}))),
+         "view must live on the pair's poset"),
+        (lambda: transport_subalgebra(trivial_pair(c2), SubsetView(c2, frozenset())),
+         "cannot transport onto an empty view"),
+        (lambda: transport_coproduct(coproduct([powerset_algebra(1)] * 2), [trivial_pair(c2)]),
+         "need exactly one pair per cofactor"),
+        (lambda: transport_coproduct(coproduct([powerset_algebra(2)]), [trivial_pair(chain(4))]),
+         "pair does not live on its cofactor's element order"),
+        (lambda: transport_exponential(E, trivial_pair(c3)),
+         "pair must live on the base algebra's element order"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", _refusals())
+def test_refusal_is_invalid_argument(call, message):
+    with pytest.raises(InvalidArgument) as e:
+        call()
+    assert type(e.value) is InvalidArgument and str(e.value) == message
