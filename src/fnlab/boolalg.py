@@ -12,6 +12,14 @@ Constructions provided: powerset, generated subalgebra, interval algebra,
 tree algebra, coproduct (free product), and the exponential (the clopen
 algebra of the hyperspace of the Stone dual, here the powerset over the
 nonzero elements since every filter of a finite algebra is principal).
+The coproduct, the exponential and a generated subalgebra take plain
+algebras only.
+
+An algebra's ``provenance`` is the recipe its file holds: the ``kind``
+(``powerset``, ``interval``, ``tree`` or ``subalgebra``) plus the kind's
+``n`` or ``lam`` and ``kap`` and its ``generators``, where it has them, and
+nothing else.  A coproduct's base and an exponential's algebra are
+powersets.
 
 Every algebra builds its element order, and generated subalgebras their
 element masks, word-parallel from per-atom bit patterns (``atom_patterns``)
@@ -107,9 +115,12 @@ class BooleanAlgebra:
     (which must contain 0 and 1 and be closed under the three operations).
     Either way ``self.carrier`` is the ascending sequence of element masks:
     ``range(2**k)`` for the powerset, the sorted tuple otherwise.
-    ``provenance`` records how the algebra was constructed (by default a
-    powerset, or a subalgebra when there is a carrier); it does not affect
-    equality, which is by element set.
+    ``provenance`` is the recipe the algebra's file holds: the ``kind``,
+    plus ``n`` (interval), ``lam`` and ``kap`` (tree) and ``generators``
+    (interval, tree, subalgebra), and nothing else.  By default it is
+    ``{"kind": "powerset"}``, or ``{"kind": "subalgebra", "generators": []}``
+    when there is a carrier.  It does not affect equality, which is by
+    element set.
     """
 
     def __init__(self, k: int, carrier=None, provenance=None, _validate=True):
@@ -128,8 +139,7 @@ class BooleanAlgebra:
         self.zero = 0
         self.carrier = range(1 << k) if carrier is None else tuple(sorted(carrier))
         self.provenance = provenance or (
-            {"kind": "powerset", "atoms": k} if carrier is None
-            else {"kind": "subalgebra", "atoms": k, "generators": []}
+            {"kind": "powerset"} if carrier is None else {"kind": "subalgebra", "generators": []}
         )
         self._poset = None
         if carrier is not None and _validate:
@@ -248,15 +258,14 @@ def subalgebra_index_mask(k: int, gens: frozenset[int]) -> int:
 
 def generated_subalgebra(B: BooleanAlgebra, gens) -> BooleanAlgebra:
     """Least subalgebra of ``B`` containing ``gens`` (and 0, 1)."""
+    if not isinstance(B, BooleanAlgebra):
+        raise InvalidArgument("a subalgebra's ambient must be a plain boolean algebra")
     gens = sorted(set(gens))
     for x in gens:
         B.element_index(x)  # membership check
     carrier = subalgebra_masks(B.k, gens)
     return BooleanAlgebra(
-        B.k,
-        carrier,
-        provenance={"kind": "subalgebra", "atoms": B.k, "generators": gens},
-        _validate=False,
+        B.k, carrier, provenance={"kind": "subalgebra", "generators": gens}, _validate=False
     )
 
 
@@ -276,9 +285,7 @@ def interval_algebra(n: int) -> BooleanAlgebra:
         raise InvalidArgument(f"interval chain length {n} is negative")
     _check_power(n, "elements")  # before the n(n+1)/2 generators are listed
     gens = [interval_mask(a, b) for a in range(n) for b in range(a + 1, n + 1)]
-    return BooleanAlgebra(
-        n, provenance={"kind": "interval", "n": n, "atoms": n, "generators": gens}
-    )
+    return BooleanAlgebra(n, provenance={"kind": "interval", "n": n, "generators": gens})
 
 
 def tree_nodes(lam: int, kap: int) -> list[tuple[int, ...]]:
@@ -328,27 +335,17 @@ def tree_algebra(lam: int, kap: int) -> BooleanAlgebra:
     """
     nodes = tree_nodes(lam, kap)
     npoints = 1 << len(nodes)
-    family = _prefix_family(nodes)
     pat = atom_patterns(len(nodes))
     gens = []
-    for member in family:
+    for member in _prefix_family(nodes):
         z = (1 << npoints) - 1
         for i in member:
             z &= ~pat[i]
         gens.append(z)
-    carrier = subalgebra_masks(npoints, gens)
     return BooleanAlgebra(
         npoints,
-        carrier,
-        provenance={
-            "kind": "tree",
-            "lam": lam,
-            "kap": kap,
-            "atoms": npoints,
-            "nodes": [list(s) for s in nodes],
-            "family": [sorted(f) for f in family],
-            "generators": gens,
-        },
+        subalgebra_masks(npoints, gens),
+        provenance={"kind": "tree", "lam": lam, "kap": kap, "generators": gens},
         _validate=False,
     )
 
@@ -371,6 +368,8 @@ class CoproductAlgebra:
         if not cofactors:
             raise InvalidArgument("need at least one cofactor")
         for B in cofactors:
+            if not isinstance(B, BooleanAlgebra):
+                raise InvalidArgument("cofactors must be plain boolean algebras")
             if B.size < 2:
                 raise InvalidArgument("cofactors must have at least two elements")
         self.cofactors = cofactors
@@ -379,14 +378,7 @@ class CoproductAlgebra:
         katoms = 1
         for m in self.arities:
             katoms *= m
-        self.base = BooleanAlgebra(
-            katoms,
-            provenance={
-                "kind": "coproduct",
-                "atoms": katoms,
-                "cofactor_atoms": self.arities,
-            },
-        )
+        self.base = BooleanAlgebra(katoms)
         lanes = [[0] * m for m in self.arities]
         conjuncts = []
         for t, combo in enumerate(product(*map(range, self.arities))):
@@ -473,10 +465,9 @@ class ExponentialAlgebra:
     """
 
     def __init__(self, base: BooleanAlgebra):
-        self.algebra = BooleanAlgebra(
-            base.size - 1,
-            provenance={"kind": "exponential", "atoms": base.size - 1},
-        )
+        if not isinstance(base, BooleanAlgebra):
+            raise InvalidArgument("an exponential base must be a plain boolean algebra")
+        self.algebra = BooleanAlgebra(base.size - 1)
         self.base = base
         self.points = tuple(base.carrier[1:])
         self.brackets = tuple(row >> 1 for row in base.as_poset().down)

@@ -18,7 +18,9 @@ class InvalidArgument(FnLabError, ValueError):
     """An argument outside the hypotheses of a library function: a negative
     size, a capacity below 1, a generator outside the algebra, a map that is
     not total, a pair that is not valid or not on the cofactor's order, a map
-    that is not a retraction, a degenerate cofactor or an empty view."""
+    that is not a retraction, a degenerate cofactor, an element index that
+    is not a plain int, a cofactor, base or ambient that is not a plain
+    algebra, or an empty view."""
 
 
 class NotReflexive(FnLabError):

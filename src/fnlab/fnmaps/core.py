@@ -15,7 +15,7 @@ so every verdict, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import IndexOutOfRange, InvalidArgument
 from ..poset import Poset, bits_of, mask_of
@@ -41,8 +41,12 @@ class CapacityPair(NamedTuple):
         return self
 
 
-def _coerce_map(P: Poset, values: Sequence[object], name: str) -> SetMap:
-    if len(values) != P.n:
+def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = None
+    if values is None or len(values) != P.n:
         raise InvalidArgument(f"{name} must assign a set to each of the {P.n} elements")
     masks = []
     for x, v in enumerate(values):
@@ -154,7 +158,7 @@ def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
     return Verdict(True, None, inter)
 
 
-def verify_single(P: Poset, h: Sequence[object]) -> Verdict:
+def verify_single(P: Poset, h: Iterable[object]) -> Verdict:
     """Single-map verification: ``r in h(p) ∩ h(q)`` with ``p <= r <= q``.
 
     With ``f = g`` the two clauses coincide, so a violation is clause 1."""
@@ -182,7 +186,7 @@ def wellorder_map(P: Poset, order: Sequence[int]) -> SetMap:
 
     Always a valid single map, with ``|h(q)| = position(q) + 1``.
     """
-    if sorted(order) != list(range(P.n)):
+    if any(type(x) is not int for x in order) or sorted(order) != list(range(P.n)):
         raise InvalidArgument("order must be a permutation of the elements")
     h = [0] * P.n
     prefix = 0

@@ -69,6 +69,10 @@ class Poset:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def check_index(self, p: int) -> None:
+        """Refuse an element index that is not a plain int (a bool, a float
+        or a numpy scalar) or lies outside ``0..n-1``."""
+        if type(p) is not int:
+            raise InvalidArgument(f"element {p!r} is not an integer index")
         if not 0 <= p < self.n:
             raise IndexOutOfRange(f"element {p} out of range for poset of size {self.n}")
 
@@ -236,6 +240,8 @@ def poset_from_covers(
     up = [1 << x for x in range(n)]
     down = list(up)
     for lo, hi in covers:
+        if type(lo) is not int or type(hi) is not int:
+            raise InvalidArgument(f"cover edge ({lo!r}, {hi!r}) is not a pair of integer indices")
         if not (0 <= lo < n and 0 <= hi < n):
             raise IndexOutOfRange(f"cover edge ({lo}, {hi}) out of range")
         up[lo] |= 1 << hi

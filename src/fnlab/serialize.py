@@ -351,16 +351,8 @@ def algebra_to_obj(A) -> dict:
             "points": list(A.points),
         }
     if isinstance(A, BooleanAlgebra):
-        prov = dict(A.provenance)
-        kind = prov.get("kind", "subalgebra")
-        obj = {"kind": kind, "atoms": A.k, "elements": A.size}
-        if kind == "interval":
-            obj["n"] = prov["n"]
-        elif kind == "tree":
-            obj["lam"] = prov["lam"]
-            obj["kap"] = prov["kap"]
-        if "generators" in prov:
-            obj["generators"] = list(prov["generators"])
+        obj = {**A.provenance, "atoms": A.k, "elements": A.size}
+        if "generators" in obj:
             obj["carrier"] = list(A.carrier)
         return obj
     raise TypeError(f"cannot serialize {type(A).__name__}")
@@ -382,17 +374,15 @@ def algebra_from_obj(obj):
             if not _plain_ints(carrier) or not _plain_ints(gens):
                 raise TypeError("'carrier' and 'generators' must be lists of integers")
             A = BooleanAlgebra(
-                atoms,
-                carrier=carrier,
-                provenance={"kind": "subalgebra", "atoms": atoms, "generators": gens},
+                atoms, carrier, provenance={"kind": "subalgebra", "generators": gens}
             )
             for g in gens:
                 A.element_index(g)  # membership check
             return A
         if kind == "coproduct":
-            return coproduct([_plain_algebra_from_obj(c) for c in obj["cofactors"]])
+            return coproduct([algebra_from_obj(c) for c in obj["cofactors"]])
         if kind == "exponential":
-            return exponential(_plain_algebra_from_obj(obj["base"]))
+            return exponential(algebra_from_obj(obj["base"]))
     except KeyError as e:
         raise ParseError(f"{kind} algebra needs a {e} field") from None
     except (TypeError, ValueError) as e:
@@ -405,11 +395,3 @@ def _int(obj: dict, field: str) -> int:
     if not _plain_ints([obj[field]]):
         raise TypeError(f"'{field}' must be an integer")
     return obj[field]
-
-
-def _plain_algebra_from_obj(obj) -> BooleanAlgebra:
-    """A coproduct cofactor or an exponential base."""
-    A = algebra_from_obj(obj)
-    if not isinstance(A, BooleanAlgebra):
-        raise ParseError("cofactors and exponential bases must be plain algebras")
-    return A

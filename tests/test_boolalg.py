@@ -16,6 +16,7 @@ from fnlab.boolalg import (
     ALGEBRA_CAP,
     BooleanAlgebra,
     CoproductAlgebra,
+    _prefix_family,
     atom_patterns,
     coproduct,
     exponential,
@@ -143,6 +144,62 @@ class TestElementSetEquality:
             A.element_mask(A.size)
 
 
+class TestProvenance:
+    """An algebra's provenance is the recipe its file holds: the kind and its
+    parameters, and nothing the algebra itself already knows."""
+
+    @pytest.mark.parametrize(
+        "make, recipe",
+        [
+            (lambda: powerset_algebra(2), {"kind": "powerset"}),
+            (lambda: BooleanAlgebra(2, [0, 3]), {"kind": "subalgebra", "generators": []}),
+            (
+                lambda: generated_subalgebra(powerset_algebra(3), [6, 1, 1]),
+                {"kind": "subalgebra", "generators": [1, 6]},
+            ),
+            (lambda: interval_algebra(2), {"kind": "interval", "n": 2, "generators": [1, 3, 2]}),
+            (
+                lambda: tree_algebra(2, 2),
+                {"kind": "tree", "lam": 2, "kap": 2, "generators": [255, 85]},
+            ),
+            (lambda: coproduct([powerset_algebra(2), powerset_algebra(1)]).base,
+             {"kind": "powerset"}),
+            (lambda: exponential(powerset_algebra(2)).algebra, {"kind": "powerset"}),
+        ],
+    )
+    def test_recipe(self, make, recipe):
+        assert make().provenance == recipe
+
+    def test_coproduct_base_repr_says_powerset(self):
+        base = coproduct([powerset_algebra(2), powerset_algebra(1)]).base
+        assert repr(base) == "BooleanAlgebra(atoms=2, size=4, kind=powerset)"
+
+
+NOT_PLAIN = {
+    "coproduct": lambda: coproduct([powerset_algebra(1)]),
+    "exponential": lambda: exponential(powerset_algebra(1)),
+}
+
+
+@pytest.mark.parametrize("arg", NOT_PLAIN)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda A: coproduct([powerset_algebra(1), A]), "cofactors must be plain boolean algebras"),
+        (exponential, "an exponential base must be a plain boolean algebra"),
+        (
+            lambda A: generated_subalgebra(A, [1]),
+            "a subalgebra's ambient must be a plain boolean algebra",
+        ),
+    ],
+    ids=["coproduct", "exponential", "generated_subalgebra"],
+)
+def test_constructors_take_plain_algebras_only(arg, build, message):
+    with pytest.raises(InvalidArgument) as e:
+        build(NOT_PLAIN[arg]())
+    assert type(e.value) is InvalidArgument and str(e.value) == message
+
+
 class TestGeneratedSubalgebra:
     def test_empty_generators(self):
         A = generated_subalgebra(powerset_algebra(2), [])
@@ -231,21 +288,22 @@ class TestTreeAlgebra:
 
     def test_two_by_two(self):
         A = tree_algebra(2, 2)
-        assert len(A.provenance["nodes"]) == 3
-        assert A.provenance["family"] == [[], [0]]
+        nodes = tree_nodes(2, 2)
+        assert len(nodes) == 3
+        assert [sorted(f) for f in _prefix_family(nodes)] == [[], [0]]
         assert A.size == 4
 
     def test_two_by_three_frozen(self):
         A = tree_algebra(2, 3)
-        assert len(A.provenance["nodes"]) == 7
-        assert len(A.provenance["family"]) == 5
+        nodes = tree_nodes(2, 3)
+        assert len(nodes) == 7
+        assert len(_prefix_family(nodes)) == 5
         assert A.size == 32
 
     def test_family_matches_brute_enumeration(self):
         # independently enumerate the strict-prefix unions over all finite
         # subsets of the node set
         for lam, kap in ((2, 2), (2, 3), (3, 2)):
-            A = tree_algebra(lam, kap)
             nodes = tree_nodes(lam, kap)
             pos = {tuple(s): i for i, s in enumerate(nodes)}
             brute = set()
@@ -257,7 +315,7 @@ class TestTreeAlgebra:
                     for i in range(len(s))
                 )
                 brute.add(members)
-            got = {frozenset(f) for f in A.provenance["family"]}
+            got = {frozenset(f) for f in _prefix_family(nodes)}
             assert got == brute
 
     def test_generators_are_vanishing_sets(self):
@@ -267,7 +325,9 @@ class TestTreeAlgebra:
         # point by point: the colourings that are 0 on every node of I
         for lam, kap in ((2, 2), (2, 3), (3, 2), (1, 5)):
             A = tree_algebra(lam, kap)
-            for member, z in zip(A.provenance["family"], A.provenance["generators"]):
+            family = _prefix_family(tree_nodes(lam, kap))
+            assert len(family) == len(A.provenance["generators"])
+            for member, z in zip(family, A.provenance["generators"]):
                 imask = sum(1 << i for i in member)
                 assert z == sum(1 << p for p in range(A.k) if p & imask == 0)
 

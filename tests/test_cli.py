@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -130,6 +131,21 @@ def test_readme_commands_parse():
             parser.parse_args(["1" if w.isupper() else w for w in words])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_quick_tour_runs():
+    """The README's library quick tour runs, and each bare expression in it
+    has the value its comment gives."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    scope, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), scope))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+    assert values == [True, None, ((1, 4), (2, 2), (4, 1)), True]
 
 
 class TestVerify:
@@ -391,6 +407,14 @@ def test_degenerate_cofactor_file_exit_two(tmp_path, capsys):
     f = write(tmp_path / "c.json", degenerate)
     assert main(["construct", "exponential", "--base", f]) == 2
     err = "error: bad coproduct algebra: cofactors must have at least two elements\n"
+    assert capsys.readouterr() == ("", err)
+
+
+def test_nested_coproduct_file_exit_two(tmp_path, capsys):
+    inner = '{"kind": "coproduct", "cofactors": [{"kind": "powerset", "atoms": 1}]}'
+    f = write(tmp_path / "c.json", '{"kind": "coproduct", "cofactors": [%s]}' % inner)
+    assert main(["construct", "exponential", "--base", f]) == 2
+    err = "error: bad coproduct algebra: cofactors must be plain boolean algebras\n"
     assert capsys.readouterr() == ("", err)
 
 

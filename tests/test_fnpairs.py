@@ -66,6 +66,23 @@ class TestVerifySingle:
         with pytest.raises(InvalidArgument, match=rf"^h\(0\){tail}"):
             verify_single(chain(2), [entry, [1]])
 
+    @pytest.mark.parametrize("images", [None, 5, 1.5])
+    def test_map_not_iterable(self, images):
+        with pytest.raises(
+            InvalidArgument, match=r"^f must assign a set to each of the 2 elements$"
+        ):
+            FnPair(chain(2), images, [[0], [1]])
+        with pytest.raises(
+            InvalidArgument, match=r"^h must assign a set to each of the 2 elements$"
+        ):
+            verify_single(chain(2), images)
+
+    def test_map_read_once(self):
+        """A map given as an iterator is read once, into the stored masks."""
+        pair = FnPair(chain(2), (s for s in ([0], [1])), iter([[0, 1], 0b10]))
+        assert pair.f == (0b01, 0b10) and pair.g == (0b11, 0b10)
+        assert verify_single(chain(2), (s for s in ([0, 1], [1]))).valid
+
 
 class TestVerifyPair:
     def test_downsets_valid(self):
@@ -224,6 +241,11 @@ class TestWellorderMap:
     def test_not_permutation(self):
         with pytest.raises(InvalidArgument, match="^order must be a permutation of the elements$"):
             wellorder_map(chain(2), [0, 0])
+
+    @pytest.mark.parametrize("order", [[0.0, 1], [0, "a"], [True, 0], [1, False], [0, None]])
+    def test_entries_not_plain_ints(self, order):
+        with pytest.raises(InvalidArgument, match="^order must be a permutation of the elements$"):
+            wellorder_map(chain(2), order)
 
 
 class TestInterpolantLookup:

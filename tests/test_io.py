@@ -167,6 +167,8 @@ class TestAlgebraRoundTrip:
             lambda: interval_algebra(3),
             lambda: tree_algebra(2, 2),
             lambda: generated_subalgebra(powerset_algebra(3), [0b011, 0b110]),
+            lambda: coproduct([powerset_algebra(2), powerset_algebra(1)]).base,
+            lambda: exponential(powerset_algebra(2)).algebra,
         ],
     )
     def test_plain_algebras(self, make):
@@ -178,6 +180,34 @@ class TestAlgebraRoundTrip:
         C = coproduct([powerset_algebra(2), powerset_algebra(1)])
         back = ser.algebra_from_obj(ser.algebra_to_obj(C))
         assert back == C
+
+    def test_coproduct_base_and_exponential_algebra_are_powersets(self):
+        C = coproduct([powerset_algebra(2), powerset_algebra(1)])
+        E = exponential(powerset_algebra(2))
+        assert ser.algebra_to_obj(C.base) == {"kind": "powerset", "atoms": 2, "elements": 4}
+        assert ser.algebra_to_obj(E.algebra) == {"kind": "powerset", "atoms": 3, "elements": 8}
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"kind": "coproduct", "cofactors": [
+                    {"kind": "coproduct", "cofactors": [{"kind": "powerset", "atoms": 1}]}
+                ]},
+                "bad coproduct algebra: cofactors must be plain boolean algebras",
+            ),
+            (
+                {"kind": "exponential", "base": {
+                    "kind": "exponential", "base": {"kind": "powerset", "atoms": 1}
+                }},
+                "bad exponential algebra: an exponential base must be a plain boolean algebra",
+            ),
+        ],
+    )
+    def test_nested_algebra_refused(self, obj, message):
+        with pytest.raises(ParseError) as e:
+            ser.algebra_from_obj(obj)
+        assert str(e.value) == message
 
     def test_exponential(self):
         E = exponential(powerset_algebra(2))

@@ -16,6 +16,7 @@ from fnlab.errors import (
     SizeExceeded,
 )
 from fnlab.boolalg import powerset_algebra
+from fnlab.fnmaps import interpolant_lookup, transport_subalgebra, trivial_pair
 from fnlab.gen import random_poset
 from fnlab.poset import (
     MAX_ELEMENTS,
@@ -326,6 +327,53 @@ class TestDownUpSets:
         for p in range(n):
             for x in range(n):
                 assert (x in P.down_set(p)) == (p in P.up_set(x))
+
+
+class TestPlainIntIndices:
+    """An element index is a plain int: a float, a bool or a string is
+    refused as ``InvalidArgument`` naming it, and an int outside the poset
+    is still an ``IndexOutOfRange``."""
+
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda: chain(3).leq(0.5, 1), 0.5),
+            (lambda: chain(3).leq(True, 2), True),
+            (lambda: chain(3).down_set(1.0), 1.0),
+            (lambda: chain(3).up_set("0"), "0"),
+            (lambda: SubsetView(chain(3), frozenset({0.5, 1})), 0.5),
+            (lambda: interpolant_lookup(trivial_pair(chain(2)), 0.0, 1), 0.0),
+            (lambda: cofinality_below(SubsetView(chain(3), frozenset({1})), 1.0), 1.0),
+            (lambda: coinitiality_above(SubsetView(chain(3), frozenset({1})), False), False),
+            (lambda: MonotoneMap(chain(2), chain(2), (0.0, 1)), 0.0),
+            (lambda: MonotoneMap(chain(2), chain(2), (False, True)), False),
+        ],
+    )
+    def test_element_refused(self, call, bad):
+        with pytest.raises(InvalidArgument) as e:
+            call()
+        assert type(e.value) is InvalidArgument
+        assert str(e.value) == f"element {bad!r} is not an integer index"
+
+    @pytest.mark.parametrize("edge", [(0.0, 1), (False, True), (0, "1"), (None, 1)])
+    def test_cover_edge_refused(self, edge):
+        with pytest.raises(InvalidArgument) as e:
+            poset_from_covers(3, [edge])
+        assert type(e.value) is InvalidArgument
+        lo, hi = edge
+        assert str(e.value) == f"cover edge ({lo!r}, {hi!r}) is not a pair of integer indices"
+
+    def test_view_refused_before_transport(self):
+        with pytest.raises(InvalidArgument):
+            transport_subalgebra(trivial_pair(chain(3)), SubsetView(chain(3), frozenset({0.5, 1})))
+
+    def test_out_of_range_int_is_index_error(self):
+        with pytest.raises(IndexOutOfRange):
+            chain(3).leq(0, 3)
+        with pytest.raises(IndexOutOfRange):
+            poset_from_covers(3, [(0, 3)])
+        with pytest.raises(IndexOutOfRange):
+            MonotoneMap(chain(2), chain(2), (0, -1))
 
 
 class TestCofinality:

@@ -39,6 +39,7 @@ from fnlab.poset import (
     chain,
     check_retraction,
     diamond,
+    poset_from_covers,
     subposet_degree,
 )
 from helpers import identity_map, random_retraction, random_subset_view
@@ -467,6 +468,13 @@ def _refusals():
          "pair does not live on its cofactor's element order"),
         (lambda: transport_exponential(E, trivial_pair(c3)),
          "pair must live on the base algebra's element order"),
+        (lambda: coproduct([powerset_algebra(1), E]), "cofactors must be plain boolean algebras"),
+        (lambda: exponential(E), "an exponential base must be a plain boolean algebra"),
+        (lambda: generated_subalgebra(E, [1]),
+         "a subalgebra's ambient must be a plain boolean algebra"),
+        (lambda: c2.leq(0.5, 1), "element 0.5 is not an integer index"),
+        (lambda: poset_from_covers(2, [(0.0, 1)]),
+         "cover edge (0.0, 1) is not a pair of integer indices"),
     ]
 
 
