@@ -15,12 +15,13 @@ class FnLabError(Exception):
 
 
 class InvalidArgument(FnLabError, ValueError):
-    """An argument outside the hypotheses of a library function: a negative
-    size, a capacity below 1, a generator outside the algebra, a map that is
-    not total, a pair that is not valid or not on the cofactor's order, a map
-    that is not a retraction, a degenerate cofactor, an element index that
-    is not a plain int, a cofactor, base or ambient that is not a plain
-    algebra, or an empty view."""
+    """An argument outside the hypotheses of a library function: a size,
+    count, capacity or budget that is not a plain int or is below its least
+    value, a generator outside the algebra, a map that is not total, a pair
+    that is not valid or not on the cofactor's order, a map that is not a
+    retraction, a degenerate cofactor, an element index that is not a plain
+    int, a cofactor, base or ambient that is not a plain algebra, or an
+    empty view."""
 
 
 class NotReflexive(FnLabError):
@@ -70,10 +71,6 @@ class NotMonotone(FnLabError):
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
         super().__init__(f"map is not order-preserving at {p} <= {q}")
-
-
-class RelationViolation(FnLabError):
-    """Internal consistency failure while building an exponential algebra."""
 
 
 class TransportDefect(FnLabError):

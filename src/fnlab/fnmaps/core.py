@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import IndexOutOfRange, InvalidArgument
-from ..poset import Poset, bits_of, mask_of
+from ..poset import Poset, bits_of, check_count, mask_of
 
 SetMap = tuple[int, ...]  # one bitmask per poset element
 
@@ -33,12 +33,17 @@ class CapacityPair(NamedTuple):
     a: int
     b: int
 
-    def check(self) -> "CapacityPair":
-        if type(self.a) is not int or type(self.b) is not int:
-            raise InvalidArgument(f"capacities must be integers, got {self.a!r}, {self.b!r}")
-        if self.a < 1 or self.b < 1:
-            raise InvalidArgument("capacities must be at least 1")
-        return self
+
+def check_capacities(cap) -> CapacityPair:
+    """``cap``, any two-item iterable of plain ints of at least 1, as a
+    :class:`CapacityPair`."""
+    try:
+        a, b = cap
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"capacities {cap!r} are not a pair (a, b)") from None
+    check_count(a, "capacity a", 1)
+    check_count(b, "capacity b", 1)
+    return CapacityPair(a, b)
 
 
 def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:

@@ -59,9 +59,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from ..errors import BudgetExceeded, InvalidArgument, SizeExceeded
-from ..poset import Poset, bits_of
-from .core import CapacityPair, FnPair
+from ..errors import BudgetExceeded, SizeExceeded
+from ..poset import Poset, bits_of, check_count
+from .core import CapacityPair, FnPair, check_capacities
 
 DEFAULT_NODE_BUDGET = 10**8
 # candidates per map summed over its slots, n * C(n - 1, size - 1): every
@@ -166,17 +166,10 @@ def _propagation(P: Poset, sizes: tuple[int, int]):
     return dom, [(1 << n) - 1] * (2 * n), revise, cands
 
 
-def _check_budget(node_budget: int) -> None:
-    if type(node_budget) is not int:
-        raise InvalidArgument(f"node budget {node_budget!r} is not an integer")
-    if node_budget < 0:
-        raise InvalidArgument(f"node budget {node_budget} is negative")
-
-
 def _search(P: Poset, cap: CapacityPair | tuple[int, int], node_budget: int) -> list[int] | None:
     """The images of a valid pair within ``cap``, slot by slot, or None."""
-    a, b = CapacityPair(*cap).check()
-    _check_budget(node_budget)
+    a, b = check_capacities(cap)
+    check_count(node_budget, "node budget")
     n = P.n
     if n == 0:
         return []
@@ -269,15 +262,15 @@ def frontier(
     Feasibility is monotone in both capacities and symmetric under swapping
     them, so the walk only descends the boundary for ``a`` up to the
     diagonal and mirrors the result.  ``workers`` has no effect beyond
-    being checked to be at least 1; it stays only because the benchmark's
-    ``frontier`` and ``oracle`` workloads still pass ``workers=1``.
+    being checked to be a plain int of at least 1; it stays only because
+    the benchmark's ``frontier`` and ``oracle`` workloads still pass
+    ``workers=1``.
     When the budget or the candidate cap cuts the walk short, the
     :class:`SizeExceeded` (or :class:`BudgetExceeded`) carries the boundary
     points confirmed so far as ``partial``.
     """
-    _check_budget(node_budget)
-    if workers < 1:
-        raise InvalidArgument(f"worker count {workers} is below 1")
+    check_count(node_budget, "node budget")
+    check_count(workers, "worker count", 1)
     if P.n == 0:
         return Frontier(((1, 1),))
     # (a, b) for each a where the boundary drops, up to the diagonal

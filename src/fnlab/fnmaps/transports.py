@@ -90,6 +90,8 @@ def cofactor_projections(C: CoproductAlgebra, j: int, x: int) -> tuple[int, int]
     ``C.lanes[j]``: ``x+`` is the join of the lanes that meet ``x``, and
     ``x-``, the De Morgan dual over the CNF, the join of the lanes inside it.
     """
+    if type(j) is not int or type(x) is not int:
+        raise InvalidArgument(f"cofactor {j!r} and mask {x!r} must be integers")
     if not 0 <= j < len(C.cofactors):
         raise IndexOutOfRange(f"no cofactor {j}")
     if x >> C.katoms:

@@ -20,7 +20,7 @@ from itertools import combinations, groupby, permutations, product
 
 from .boolalg import CoproductAlgebra
 from .errors import FnLabError, SizeExceeded
-from .fnmaps.core import CapacityPair
+from .fnmaps.core import CapacityPair, check_capacities
 from .poset import Poset, SubsetView, _poset_from_rows, bits_of, check_poset_size
 
 ORACLE_MAX_ELEMENTS = 5
@@ -76,9 +76,9 @@ def enumerate_posets(n: int):
     is validated once more by :func:`_poset_from_rows`, on the up and down
     rows the walk keeps.  Enumeration is labeled, not up-to-isomorphism.
     """
+    check_poset_size(n)
     if n > ORACLE_MAX_ELEMENTS:
         raise SizeExceeded(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {n}")
-    check_poset_size(n)
     pairs = list(combinations(range(n), 2))
     up = [1 << x for x in range(n)]
     down = list(up)
@@ -203,7 +203,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
 
 def brute_feasible(P: Poset, cap: CapacityPair | tuple[int, int]) -> bool:
     """Exhaustive feasibility decision for capacities ``(a, b)``."""
-    a, b = CapacityPair(*cap).check()
+    a, b = check_capacities(cap)
     if P.n > ORACLE_MAX_ELEMENTS:
         raise SizeExceeded(f"oracle capped at {ORACLE_MAX_ELEMENTS} elements, got {P.n}")
     if P.n == 0:
@@ -232,7 +232,7 @@ def brute_pair_product_feasible(P: Poset, cap) -> bool:
     """Literal joint enumeration of all exact-size ``(f, g)`` assignments,
     each checked by the naive verifier.  Tiny posets only; exists to certify
     the decomposed oracle."""
-    a, b = CapacityPair(*cap).check()
+    a, b = check_capacities(cap)
     n = P.n
     if n > 3:
         raise SizeExceeded("joint enumeration capped at 3 elements")

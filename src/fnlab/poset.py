@@ -27,11 +27,19 @@ from .errors import (
 MAX_ELEMENTS = 4096
 
 
+def check_count(value: int, what: str, least: int = 0) -> None:
+    """Refuse a count (a size, a capacity, a budget) that is not a plain int
+    (a bool, a float or a numpy scalar) or is below ``least``."""
+    if type(value) is not int:
+        raise InvalidArgument(f"{what} {value!r} is not an integer")
+    if value < least:
+        raise InvalidArgument(f"{what} {value} is below {least}")
+
+
 def check_poset_size(n: int) -> None:
-    """Refuse a poset of ``n`` elements: negative, or above ``MAX_ELEMENTS``
-    (every materialized order obeys this cap)."""
-    if n < 0:
-        raise InvalidArgument(f"poset size {n} is negative")
+    """Refuse a poset of ``n`` elements: not a count, or above
+    ``MAX_ELEMENTS`` (every materialized order obeys this cap)."""
+    check_count(n, "poset size")
     if n > MAX_ELEMENTS:
         raise SizeExceeded(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
 
@@ -252,6 +260,7 @@ def poset_from_covers(
 
 
 def chain(n: int) -> Poset:
+    check_poset_size(n)  # before the range of covers
     return poset_from_covers(n, [(i, i + 1) for i in range(n - 1)])
 
 

@@ -334,60 +334,73 @@ def frontier_from_csv(text: str) -> Frontier:
 
 # --------------------------------------------------------------- algebras
 
+def _headers(A) -> dict:
+    """The ``atoms`` and ``elements`` an algebra's file counts, those of the
+    powerset a coproduct or an exponential is built on, and an exponential's
+    ``points``."""
+    if isinstance(A, CoproductAlgebra):
+        return {"atoms": A.katoms, "elements": A.base.size}
+    if isinstance(A, ExponentialAlgebra):
+        return {"atoms": A.algebra.k, "elements": A.algebra.size, "points": list(A.points)}
+    return {"atoms": A.k, "elements": A.size}
+
+
 def algebra_to_obj(A) -> dict:
     if isinstance(A, CoproductAlgebra):
-        return {
-            "kind": "coproduct",
-            "cofactors": [algebra_to_obj(B) for B in A.cofactors],
-            "atoms": A.katoms,
-            "elements": A.base.size,
-        }
-    if isinstance(A, ExponentialAlgebra):
-        return {
-            "kind": "exponential",
-            "base": algebra_to_obj(A.base),
-            "atoms": len(A.points),
-            "elements": A.algebra.size,
-            "points": list(A.points),
-        }
-    if isinstance(A, BooleanAlgebra):
-        obj = {**A.provenance, "atoms": A.k, "elements": A.size}
+        obj = {"kind": "coproduct", "cofactors": [algebra_to_obj(B) for B in A.cofactors]}
+    elif isinstance(A, ExponentialAlgebra):
+        obj = {"kind": "exponential", "base": algebra_to_obj(A.base)}
+    elif isinstance(A, BooleanAlgebra):
+        obj = dict(A.provenance)
         if "generators" in obj:
             obj["carrier"] = list(A.carrier)
-        return obj
-    raise TypeError(f"cannot serialize {type(A).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(A).__name__}")
+    return {**obj, **_headers(A)}
 
 
 def algebra_from_obj(obj):
+    """The algebra ``obj`` describes.  Its ``atoms``, ``elements`` and
+    ``points`` headers, where present, must match the algebra built."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("algebra object needs a 'kind' field")
     kind = obj["kind"]
     try:
         if kind == "powerset":
-            return powerset_algebra(_int(obj, "atoms"))
-        if kind == "interval":
-            return interval_algebra(_int(obj, "n"))
-        if kind == "tree":
-            return tree_algebra(_int(obj, "lam"), _int(obj, "kap"))
-        if kind == "subalgebra":
+            A = powerset_algebra(_int(obj, "atoms"))
+        elif kind == "interval":
+            A = interval_algebra(_int(obj, "n"))
+        elif kind == "tree":
+            A = tree_algebra(_int(obj, "lam"), _int(obj, "kap"))
+        elif kind == "subalgebra":
             atoms, carrier, gens = _int(obj, "atoms"), obj["carrier"], obj.get("generators", [])
-            if not _plain_ints(carrier) or not _plain_ints(gens):
-                raise TypeError("'carrier' and 'generators' must be lists of integers")
+            if not isinstance(carrier, list) or not isinstance(gens, list):
+                raise TypeError("'carrier' and 'generators' must be lists")
             A = BooleanAlgebra(
                 atoms, carrier, provenance={"kind": "subalgebra", "generators": gens}
             )
             for g in gens:
                 A.element_index(g)  # membership check
-            return A
-        if kind == "coproduct":
-            return coproduct([algebra_from_obj(c) for c in obj["cofactors"]])
-        if kind == "exponential":
-            return exponential(algebra_from_obj(obj["base"]))
+        elif kind == "coproduct":
+            A = coproduct([algebra_from_obj(c) for c in obj["cofactors"]])
+        elif kind == "exponential":
+            A = exponential(algebra_from_obj(obj["base"]))
+        else:
+            raise ParseError(f"unknown algebra kind {kind!r}")
+        for field, value in _headers(A).items():
+            # compared by value and type, so true is not 1 and 4.0 is not 4
+            if field in obj and (
+                obj[field] != value
+                or not _plain_ints(obj[field] if field == "points" else [obj[field]])
+            ):
+                with _mask_digits():
+                    got = f"'{field}' is {obj[field]!r}, not {value!r}"
+                raise ParseError(f"bad {kind} algebra: {got}")
+        return A
     except KeyError as e:
         raise ParseError(f"{kind} algebra needs a {e} field") from None
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad {kind} algebra: {e}") from None
-    raise ParseError(f"unknown algebra kind {kind!r}")
 
 
 def _int(obj: dict, field: str) -> int:

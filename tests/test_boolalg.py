@@ -434,8 +434,14 @@ class TestExponential:
             assert E.algebra.k == E.base.size - 1
 
     def test_relations_hold(self):
-        for k in (1, 2, 3):
-            E = exponential(powerset_algebra(k))
+        # they hold by construction, on every kind of plain base
+        bases = [powerset_algebra(k) for k in (1, 2, 3)] + [
+            generated_subalgebra(powerset_algebra(4), [0b0011, 0b0110]),
+            tree_algebra(2, 2),
+        ]
+        for B in bases:
+            E = exponential(B)
+            assert E.bracket(0) == 0 and E.bracket(B.one) == E.algebra.one
             elems = list(E.base.elements())
             for a in elems:
                 for b in elems:
@@ -658,7 +664,7 @@ def test_refused_arguments_share_one_class():
     """Every refused argument is an ``InvalidArgument``: an error class of its
     own either carries witness data (its own ``__init__``) or is one of the
     message-only classes with a distinct meaning or exit code."""
-    message_only = {"InvalidArgument", "IndexOutOfRange", "SizeExceeded", "RelationViolation"}
+    message_only = {"InvalidArgument", "IndexOutOfRange", "SizeExceeded"}
     found, todo = [], [FnLabError]
     while todo:
         for cls in todo.pop().__subclasses__():

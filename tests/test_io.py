@@ -232,6 +232,70 @@ class TestAlgebraRoundTrip:
         assert obj["elements"] == 8 and obj["atoms"] == 3
         assert obj["kind"] == "interval"
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"kind": "powerset", "atoms": 2, "elements": 7},
+                "bad powerset algebra: 'elements' is 7, not 4",
+            ),
+            (
+                {"kind": "exponential", "base": {"kind": "powerset", "atoms": 1}, "points": [5]},
+                "bad exponential algebra: 'points' is [5], not [1]",
+            ),
+            (  # a listed carrier whose provenance claims a powerset
+                ser.algebra_to_obj(BooleanAlgebra(2, [0, 3], provenance={"kind": "powerset"})),
+                "bad powerset algebra: 'elements' is 2, not 4",
+            ),
+            (
+                {"kind": "subalgebra", "atoms": 2, "elements": 4, "carrier": [0, 3]},
+                "bad subalgebra algebra: 'elements' is 4, not 2",
+            ),
+            (
+                {"kind": "interval", "n": 2, "atoms": 3},
+                "bad interval algebra: 'atoms' is 3, not 2",
+            ),
+            (
+                {"kind": "coproduct", "cofactors": [{"kind": "powerset", "atoms": 1}] * 2,
+                 "atoms": 3},
+                "bad coproduct algebra: 'atoms' is 3, not 1",
+            ),
+            (
+                {"kind": "exponential", "base": {"kind": "powerset", "atoms": 1}, "elements": 4},
+                "bad exponential algebra: 'elements' is 4, not 2",
+            ),
+            (  # JSON true equals 1 but is no integer
+                {"kind": "powerset", "atoms": 0, "elements": True},
+                "bad powerset algebra: 'elements' is True, not 1",
+            ),
+            (
+                {"kind": "exponential", "base": {"kind": "powerset", "atoms": 1}, "points": [True]},
+                "bad exponential algebra: 'points' is [True], not [1]",
+            ),
+        ],
+    )
+    def test_header_mismatch_refused(self, obj, message):
+        """Every ``atoms``, ``elements`` and ``points`` header a file holds
+        must match the algebra built from it."""
+        with pytest.raises(ParseError) as e:
+            ser.algebra_from_obj(obj)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            lambda: tree_algebra(13, 2),  # masks over 2^14 points
+            lambda: BooleanAlgebra(20000, [0, (1 << 20000) - 1]),
+        ],
+    )
+    def test_wide_points_header_round_trip(self, base):
+        """Points wider than the interpreter's 4300-digit conversion limit
+        are checked against their header without being written as text."""
+        E = exponential(base())
+        assert max(E.points).bit_length() > 14000
+        back = ser.algebra_from_obj(ser.loads(ser.dumps(ser.algebra_to_obj(E))))
+        assert back == E and back.points == E.points
+
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             ser.algebra_from_obj({"kind": "mystery"})

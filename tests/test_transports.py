@@ -4,10 +4,12 @@ import random
 import pytest
 
 from fnlab.boolalg import (
+    BooleanAlgebra,
     coproduct,
     exponential,
     generated_subalgebra,
     hyperspace_basic_set,
+    interval_algebra,
     literal_normal_forms,
     powerset_algebra,
     subalgebra_index_mask,
@@ -18,7 +20,9 @@ from fnlab.errors import IndexOutOfRange, InvalidArgument
 from fnlab.fnmaps import (
     FnPair,
     cofactor_projections,
+    frontier,
     interpolant_lookup,
+    search_pair,
     transport_coproduct,
     transport_exponential,
     transport_retract,
@@ -30,7 +34,12 @@ from fnlab.fnmaps import (
     wellorder_map,
 )
 from fnlab.gen import random_poset, random_valid_pair
-from fnlab.oracle import brute_cofactor_minmax, brute_minmax_in_subset
+from fnlab.oracle import (
+    brute_cofactor_minmax,
+    brute_feasible,
+    brute_minmax_in_subset,
+    enumerate_posets,
+)
 from fnlab.poset import (
     MonotoneMap,
     SubsetView,
@@ -435,8 +444,10 @@ def test_coproduct_tables_frozen():
 
 def _refusals():
     """One refused call per ``InvalidArgument`` raise site of the order,
-    algebra, pair and transport modules, with its message."""
+    algebra, pair and transport modules, with its message, and every size,
+    count, capacity or budget that is not a plain int."""
     c2, c3, E = chain(2), chain(3), exponential(powerset_algebra(2))
+    C, P2 = coproduct([powerset_algebra(1)] * 2), powerset_algebra(2)
     up, flat = MonotoneMap(c2, c3, (0, 2)), MonotoneMap(c3, c2, (0, 0, 1))
     singletons = FnPair(c2, [{0}, {1}], [{0}, {1}])
     return [
@@ -475,6 +486,30 @@ def _refusals():
         (lambda: c2.leq(0.5, 1), "element 0.5 is not an integer index"),
         (lambda: poset_from_covers(2, [(0.0, 1)]),
          "cover edge (0.0, 1) is not a pair of integer indices"),
+        (lambda: chain(2.0), "poset size 2.0 is not an integer"),
+        (lambda: chain(-1), "poset size -1 is below 0"),
+        (lambda: antichain(2.0), "poset size 2.0 is not an integer"),
+        (lambda: random_poset(3.0, random.Random(0)), "poset size 3.0 is not an integer"),
+        (lambda: list(enumerate_posets(2.0)), "poset size 2.0 is not an integer"),
+        (lambda: powerset_algebra(2.0), "atom count 2.0 is not an integer"),
+        (lambda: powerset_algebra(-1), "atom count -1 is below 0"),
+        (lambda: interval_algebra(2.0), "interval chain length 2.0 is not an integer"),
+        (lambda: tree_algebra(2.0, 2), "tree branching lam 2.0 is not an integer"),
+        (lambda: tree_algebra(2, 2.0), "tree depth kap 2.0 is not an integer"),
+        (lambda: tree_algebra(2, 0), "tree depth kap 0 is below 1"),
+        (lambda: BooleanAlgebra(2, [0.0, 3.0]), "carrier is not a subalgebra of the 2-atom powerset"),
+        (lambda: BooleanAlgebra(2, [0, "3"]), "carrier is not a subalgebra of the 2-atom powerset"),
+        (lambda: generated_subalgebra(P2, [1.0]), "mask 1.0 is not an element of the algebra"),
+        (lambda: generated_subalgebra(P2, [True]), "mask True is not an element of the algebra"),
+        (lambda: hyperspace_basic_set(E, [1.0]), "mask 1.0 is not an element of the algebra"),
+        (lambda: cofactor_projections(C, 0.0, 1), "cofactor 0.0 and mask 1 must be integers"),
+        (lambda: search_pair(c3, (1,)), "capacities (1,) are not a pair (a, b)"),
+        (lambda: search_pair(c3, 5), "capacities 5 are not a pair (a, b)"),
+        (lambda: search_pair(c3, (0, 1)), "capacity a 0 is below 1"),
+        (lambda: search_pair(c3, (1, 1), -1), "node budget -1 is below 0"),
+        (lambda: brute_feasible(c3, (1,)), "capacities (1,) are not a pair (a, b)"),
+        (lambda: frontier(c3, 10**6, workers=True), "worker count True is not an integer"),
+        (lambda: frontier(c3, 10**6, workers=1.5), "worker count 1.5 is not an integer"),
     ]
 
 
