@@ -399,7 +399,12 @@ class CoproductAlgebra:
         return self.base.k
 
     def embed(self, i: int, b: int) -> int:
-        """Embedding of cofactor-``i`` element ``b`` into the base."""
+        """Embedding of cofactor-``i`` element ``b`` into the base; a
+        cofactor index or an element outside the coproduct is refused."""
+        check_count(i, "cofactor index")
+        if i >= len(self.cofactors):
+            raise InvalidArgument(f"cofactor index {i} is not below {len(self.cofactors)}")
+        self.cofactors[i].element_index(b)
         mask = 0
         for atom, lane in zip(self.atom_lists[i], self.lanes[i]):
             if atom & ~b == 0:
@@ -439,7 +444,9 @@ class LiteralNF(NamedTuple):
 
 
 def literal_normal_forms(C: CoproductAlgebra, x: int) -> LiteralNF:
-    """Canonical DNF/CNF of a base element over cofactor literals."""
+    """Canonical DNF/CNF of a base element over cofactor literals; a mask
+    that is not a base element is refused."""
+    C.base.element_index(x)
     one = C.base.one
     if x == 0:
         return LiteralNF((), (frozenset(),))

@@ -111,8 +111,12 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     Every base element is rewritten in its canonical DNF and CNF over
     cofactor literals; the images of all literals under the cofactor maps
     are embedded and closed into generated subalgebras, which interpolate
-    by the normal-form argument.  Elements with the same literal set share
-    their images, so each distinct set is closed once.
+    by the normal-form argument.  An element's literals depend only on
+    which lanes ``C.lanes[i][j]`` it misses, meets or holds: the DNF takes
+    the atoms of the lanes it meets and the CNF the complements of the
+    atoms of the lanes it does not hold.  So the elements are grouped by
+    that lane state, one normal form is taken per class (its least
+    element), and each distinct literal set is closed once.
     """
     if len(pairs) != len(C.cofactors):
         raise InvalidArgument("need exactly one pair per cofactor")
@@ -123,35 +127,46 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
     for idx, pr in enumerate(pairs):
         _require_valid(pr, f"cofactor {idx} input")
     base_poset = C.base.as_poset()
+    lanes = [lane for row in C.lanes for lane in row]
     # per literal (i, c): the embedded images of f(c) and of g(c)
     images: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
-    # per literal set: the two generated subalgebras, as element masks
+
+    def close(lits: frozenset[tuple[int, int]]) -> tuple[int, int]:
+        """The two generated subalgebras of a literal set, as element masks."""
+        f0: set[int] = set()
+        g0: set[int] = set()
+        for i, c in lits:
+            if (i, c) not in images:
+                B = C.cofactors[i]
+                ci = B.element_index(c)
+                images[i, c] = tuple(
+                    {C.embed(i, B.element_mask(d)) for d in bits_of(m[ci])}
+                    for m in (pairs[i].f, pairs[i].g)
+                )
+            fi, gi = images[i, c]
+            f0 |= fi
+            g0 |= gi
+        # base poset index == element mask
+        return (
+            subalgebra_index_mask(C.katoms, frozenset(f0)),
+            subalgebra_index_mask(C.katoms, frozenset(g0)),
+        )
+
+    # per literal set, and per lane state (0 misses, 1 meets, 2 holds, lane
+    # by lane): the two generated subalgebras
     closures: dict[frozenset[tuple[int, int]], tuple[int, int]] = {}
+    classes: dict[tuple[int, ...], tuple[int, int]] = {}
     F = []
     G = []
     for x in range(base_poset.n):
-        nf = literal_normal_forms(C, x)
-        lits = frozenset().union(*nf.dnf, *nf.cnf)
-        if lits not in closures:
-            f0: set[int] = set()
-            g0: set[int] = set()
-            for i, c in lits:
-                if (i, c) not in images:
-                    B = C.cofactors[i]
-                    ci = B.element_index(c)
-                    images[i, c] = tuple(
-                        {C.embed(i, B.element_mask(d)) for d in bits_of(m[ci])}
-                        for m in (pairs[i].f, pairs[i].g)
-                    )
-                fi, gi = images[i, c]
-                f0 |= fi
-                g0 |= gi
-            # base poset index == element mask
-            closures[lits] = (
-                subalgebra_index_mask(C.katoms, frozenset(f0)),
-                subalgebra_index_mask(C.katoms, frozenset(g0)),
-            )
-        fx, gx = closures[lits]
+        key = tuple([(x & lane != 0) + (x & lane == lane) for lane in lanes])
+        if key not in classes:
+            nf = literal_normal_forms(C, x)
+            lits = frozenset().union(*nf.dnf, *nf.cnf)
+            if lits not in closures:
+                closures[lits] = close(lits)
+            classes[key] = closures[lits]
+        fx, gx = classes[key]
         F.append(fx)
         G.append(gx)
     return _checked(FnPair(base_poset, tuple(F), tuple(G)))

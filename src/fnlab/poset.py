@@ -120,12 +120,14 @@ def validate_poset(
     the first violation is raised with its witness elements.  One scan of
     the matrix fills both the up and the down rows.
     """
+    if not hasattr(matrix, "__len__"):
+        raise InvalidArgument("relation matrix must be a sequence of rows")
     n = len(matrix)
     check_poset_size(n)
     up = []
     down = [0] * n
     for x, row in enumerate(matrix):
-        if len(row) != n:
+        if not hasattr(row, "__len__") or len(row) != n:
             raise InvalidArgument("relation matrix must be square")
         m = 0
         for y, v in enumerate(row):
@@ -247,7 +249,11 @@ def poset_from_covers(
     check_poset_size(n)
     up = [1 << x for x in range(n)]
     down = list(up)
-    for lo, hi in covers:
+    for edge in covers:
+        try:
+            lo, hi = edge
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"cover edge {edge!r} is not a pair of integer indices") from None
         if type(lo) is not int or type(hi) is not int:
             raise InvalidArgument(f"cover edge ({lo!r}, {hi!r}) is not a pair of integer indices")
         if not (0 <= lo < n and 0 <= hi < n):

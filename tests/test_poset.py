@@ -363,6 +363,21 @@ class TestPlainIntIndices:
         lo, hi = edge
         assert str(e.value) == f"cover edge ({lo!r}, {hi!r}) is not a pair of integer indices"
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: poset_from_covers(2, [(0, 1, 2)]),
+             "cover edge (0, 1, 2) is not a pair of integer indices"),
+            (lambda: poset_from_covers(2, [5]), "cover edge 5 is not a pair of integer indices"),
+            (lambda: validate_poset(5), "relation matrix must be a sequence of rows"),
+            (lambda: validate_poset([5]), "relation matrix must be square"),
+        ],
+    )
+    def test_malformed_cover_or_matrix_refused(self, call, message):
+        with pytest.raises(InvalidArgument) as e:
+            call()
+        assert type(e.value) is InvalidArgument and str(e.value) == message
+
     def test_view_refused_before_transport(self):
         with pytest.raises(InvalidArgument):
             transport_subalgebra(trivial_pair(chain(3)), SubsetView(chain(3), frozenset({0.5, 1})))

@@ -378,16 +378,41 @@ def _reference_transport_coproduct(C, pairs):
     return FnPair(C.base.as_poset(), tuple(F), tuple(G))
 
 
-@pytest.mark.parametrize("ks", [(1, 2, 3), (2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "ks",
+    [
+        (1, 2, 3),
+        (2, 3),
+        (3, 3),
+        (generated_subalgebra(powerset_algebra(5), [0b00111, 0b01100]), tree_algebra(2, 2)),
+    ],
+)
 def test_coproduct_transport_matches_per_element_recipe(ks):
-    """Closing each distinct literal set once gives what each element's own
-    closure gave."""
+    """Closing each lane-state class once gives what each element's own
+    closure gave.  ``ks`` lists the cofactors: an int ``k`` stands for the
+    ``k``-atom powerset.  The carrier cofactors' lanes are atom blocks."""
     rng = random.Random(repr(ks))
-    cofactors = [powerset_algebra(k) for k in ks]
+    cofactors = [powerset_algebra(k) if type(k) is int else k for k in ks]
     C = coproduct(cofactors)
     for _ in range(3):
         pairs = [random_valid_pair(B.as_poset(), rng) for B in cofactors]
         assert transport_coproduct(C, pairs) == _reference_transport_coproduct(C, pairs)
+
+
+def test_coproduct_transport_takes_one_normal_form_per_class(monkeypatch):
+    """The 512 elements of the (3,3) coproduct fall into 111 lane-state
+    classes, and each class takes one normal form."""
+    calls = []
+
+    def counted(C, x):
+        calls.append(x)
+        return literal_normal_forms(C, x)
+
+    monkeypatch.setattr(transports, "literal_normal_forms", counted)
+    B = powerset_algebra(3)
+    rng = random.Random(3)
+    transport_coproduct(coproduct([B, B]), [random_valid_pair(B.as_poset(), rng) for _ in range(2)])
+    assert len(calls) == 111 and calls == sorted(set(calls))
 
 
 class TestCarrierCofactorTransport:
@@ -510,6 +535,10 @@ def _refusals():
         (lambda: brute_feasible(c3, (1,)), "capacities (1,) are not a pair (a, b)"),
         (lambda: frontier(c3, 10**6, workers=True), "worker count True is not an integer"),
         (lambda: frontier(c3, 10**6, workers=1.5), "worker count 1.5 is not an integer"),
+        (lambda: literal_normal_forms(C, 1.0), "mask 1.0 is not an element of the algebra"),
+        (lambda: literal_normal_forms(C, 99), "mask 99 is not an element of the algebra"),
+        (lambda: C.embed(5, 1), "cofactor index 5 is not below 2"),
+        (lambda: C.embed(0, 1.0), "mask 1.0 is not an element of the algebra"),
     ]
 
 
