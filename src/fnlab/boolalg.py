@@ -398,12 +398,17 @@ class CoproductAlgebra:
     def katoms(self) -> int:
         return self.base.k
 
-    def embed(self, i: int, b: int) -> int:
-        """Embedding of cofactor-``i`` element ``b`` into the base; a
-        cofactor index or an element outside the coproduct is refused."""
+    def check_cofactor(self, i: int) -> None:
+        """Refuse a cofactor index that is not a count below the number of
+        cofactors."""
         check_count(i, "cofactor index")
         if i >= len(self.cofactors):
             raise InvalidArgument(f"cofactor index {i} is not below {len(self.cofactors)}")
+
+    def embed(self, i: int, b: int) -> int:
+        """Embedding of cofactor-``i`` element ``b`` into the base; a
+        cofactor index or an element outside the coproduct is refused."""
+        self.check_cofactor(i)
         self.cofactors[i].element_index(b)
         mask = 0
         for atom, lane in zip(self.atom_lists[i], self.lanes[i]):

@@ -65,7 +65,7 @@ def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:
             if idx is None or any(type(i) is not int for i in idx):
                 raise InvalidArgument(f"{name}({x}) must be a mask or an iterable of indices")
             # an index outside [0, n) sets bit n, so a huge one allocates nothing
-            m = mask_of(i if 0 <= i < P.n else P.n for i in idx)
+            m = mask_of([i if 0 <= i < P.n else P.n for i in idx])
         if m < 0 or m >> P.n:
             raise IndexOutOfRange(f"{name}({x}) mentions elements outside the poset")
         masks.append(m)

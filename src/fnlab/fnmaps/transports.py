@@ -15,7 +15,7 @@ from ..boolalg import (
     subalgebra_index_mask,
     subalgebra_masks,
 )
-from ..errors import IndexOutOfRange, InvalidArgument, TransportDefect
+from ..errors import InvalidArgument, TransportDefect
 from ..poset import MonotoneMap, SubsetView, _extremal_in, bits_of, check_retraction
 from .core import FnPair, verify_pair
 
@@ -92,10 +92,8 @@ def cofactor_projections(C: CoproductAlgebra, j: int, x: int) -> tuple[int, int]
     """
     if type(j) is not int or type(x) is not int:
         raise InvalidArgument(f"cofactor {j!r} and mask {x!r} must be integers")
-    if not 0 <= j < len(C.cofactors):
-        raise IndexOutOfRange(f"no cofactor {j}")
-    if x >> C.katoms:
-        raise IndexOutOfRange(f"mask {x} is not a base element")
+    C.check_cofactor(j)
+    C.base.element_index(x)
     xplus = xminus = 0
     for lane in C.lanes[j]:
         if lane & x:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -44,11 +44,20 @@ def check_poset_size(n: int) -> None:
         raise SizeExceeded(f"poset size {n} exceeds cap {MAX_ELEMENTS}")
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
+def mask_of(indices: Collection[int]) -> int:
+    """The bitmask of nonnegative indices, in time linear in their count and
+    the largest of them: up to 64 are shifted in one at a time, more are
+    written as base-2 digits and parsed once."""
+    if len(indices) <= 64:
+        m = 0
+        for i in indices:
+            m |= 1 << i
+        return m
+    digits = bytearray(b"0") * (max(indices) + 1)
     for i in indices:
-        m |= 1 << i
-    return m
+        digits[i] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
 
 
 def bits_of(mask: int):

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fnlab.errors import (
@@ -30,6 +30,7 @@ from fnlab.poset import (
     cofinality_below,
     coinitiality_above,
     diamond,
+    mask_of,
     _poset_from_rows,
     poset_from_covers,
     subposet_degree,
@@ -537,3 +538,23 @@ class TestSubsetViewAsPoset:
     def test_induced_antichain(self):
         induced, _ = SubsetView(diamond(), frozenset({1, 2})).as_poset()
         assert induced == antichain(2)
+
+
+@st.composite
+def index_lists(draw):
+    """A list of indices below some ``n <= 1100``, repeats allowed, of any
+    length up to ``n``, so both ways ``mask_of`` builds a mask are drawn."""
+    n = draw(st.integers(0, 1100))
+    size = draw(st.integers(0, n))
+    return draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=size, max_size=size))
+
+
+class TestMaskOf:
+    @given(index_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_shift_per_index(self, indices):
+        m = 0
+        for i in indices:
+            m |= 1 << i
+        assert mask_of(indices) == m
+        assert mask_of(frozenset(indices)) == m

@@ -240,6 +240,73 @@ class TestWitnessFreeFeasibility:
                 assert outcome(feasible, P, (a, b), budget) == want, (a, b, budget)
 
 
+class TestRestart:
+    """``feasible`` restarts a query still open after ``_RESTART_NODES``
+    nodes on failure-weighted branching; no query the tests pin elsewhere
+    runs that long, so these move the restart down to reach it."""
+
+    @pytest.mark.parametrize("restart", [0, 1, 7, 64])
+    def test_decides_as_search_pair(self, monkeypatch, restart):
+        monkeypatch.setattr(search_module, "_RESTART_NODES", restart)
+        for seed in range(8):
+            n = 1 + seed
+            P = random_poset(n, random.Random(f"restart/{seed}"))
+            for a, b in product(range(1, n + 1), repeat=2):
+                want = search_pair(P, (a, b)) is not None
+                assert feasible(P, (a, b)) == want, (seed, a, b)
+        for P, points in FROZEN_BEYOND_ORACLE.values():
+            assert frontier(P).points == points
+
+    def test_budget_cut_after_the_restart(self, monkeypatch):
+        """A budget that runs out after the restart counts the nodes of
+        both phases and stops at ``budget + 1``."""
+        monkeypatch.setattr(search_module, "_RESTART_NODES", 16)
+        budget = 100
+        with pytest.raises(BudgetExceeded) as cut:
+            feasible(chain(10), (3, 3), budget)
+        assert (cut.value.nodes, cut.value.budget) == (budget + 1, budget)
+
+    def test_chain10_hard_queries(self):
+        """The two chain(10) queries that run past the restart, decided the
+        same way, at the same node, on a second run."""
+        P = chain(10)
+        for _ in range(2):
+            for cap, want, nodes in (((3, 3), True, 1958), ((2, 4), False, 2749)):
+                assert outcome(feasible, P, cap, nodes) is want
+                assert outcome(feasible, P, cap, nodes - 1) == ("budget", nodes)
+
+
+class TestMirroredQueries:
+    """Each row of the walk stops at the diagonal: ``(a, c)`` with ``c < a``
+    is the mirror of ``(c, a)``, which row ``c`` decided, so ``feasible`` is
+    never asked it."""
+
+    @staticmethod
+    def asked(monkeypatch):
+        caps = []
+        ask = search_module.feasible
+
+        def counted(P, cap, node_budget):
+            caps.append(cap)
+            return ask(P, cap, node_budget)
+
+        monkeypatch.setattr(search_module, "feasible", counted)
+        return caps
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_no_mirrored_query(self, monkeypatch, seed):
+        caps = self.asked(monkeypatch)
+        P = random_poset(1 + seed % 5, random.Random(f"mirror/{seed}"))
+        assert frontier(P).points == brute_frontier(P)
+        assert all(c >= a for a, c in caps), caps
+
+    def test_chain10_skips_its_mirrored_query(self, monkeypatch):
+        caps = self.asked(monkeypatch)
+        assert frontier(chain(10)).points == FROZEN_BEYOND_ORACLE["chain_10"][1]
+        assert (2, 5) in caps and (3, 2) not in caps
+        assert all(c >= a for a, c in caps), caps
+
+
 class TestHeldMemoBound:
     def test_memo_stays_within_its_bound(self, monkeypatch):
         """A budget-cut query with a small ``held`` memo bound keeps the

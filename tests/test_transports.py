@@ -16,7 +16,7 @@ from fnlab.boolalg import (
     subalgebra_masks,
     tree_algebra,
 )
-from fnlab.errors import IndexOutOfRange, InvalidArgument
+from fnlab.errors import InvalidArgument
 from fnlab.fnmaps import (
     FnPair,
     cofactor_projections,
@@ -201,10 +201,19 @@ class TestCofactorProjections:
         x = C.embed(0, 1) | C.embed(1, 1)
         assert cofactor_projections(C, 0, x) == (C.base.one, C.embed(0, 1))
 
-    @pytest.mark.parametrize("j, x", [(2, 0), (-1, 0), (0, 1 << 4), (0, -1)])
+    BAD = {
+        (2, 0): "cofactor index 2 is not below 2",
+        (-1, 0): "cofactor index -1 is below 0",
+        (0, 1 << 4): "mask 16 is not an element of the algebra",
+        (0, -1): "mask -1 is not an element of the algebra",
+    }
+
+    @pytest.mark.parametrize("j, x", list(BAD))
     def test_bad_cofactor_or_mask(self, j, x):
+        """A bad cofactor index is refused as ``embed`` refuses it, and a bad
+        mask as ``literal_normal_forms`` refuses it."""
         C = coproduct([powerset_algebra(2)] * 2)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument, match=f"^{self.BAD[j, x]}$"):
             cofactor_projections(C, j, x)
 
     def test_against_both_brute_flavors(self):
