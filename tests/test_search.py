@@ -293,17 +293,17 @@ class TestMirroredQueries:
         monkeypatch.setattr(search_module, "feasible", counted)
         return caps
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_no_mirrored_query(self, monkeypatch, seed):
+    def test_no_mirrored_query(self, monkeypatch):
         caps = self.asked(monkeypatch)
-        P = random_poset(1 + seed % 5, random.Random(f"mirror/{seed}"))
-        assert frontier(P).points == brute_frontier(P)
+        for seed in range(40):
+            P = random_poset(1 + seed % 5, random.Random(f"mirror/{seed}"))
+            assert frontier(P).points == brute_frontier(P)
         assert all(c >= a for a, c in caps), caps
 
     def test_chain10_skips_its_mirrored_query(self, monkeypatch):
         caps = self.asked(monkeypatch)
         assert frontier(chain(10)).points == FROZEN_BEYOND_ORACLE["chain_10"][1]
-        assert (2, 5) in caps and (3, 2) not in caps
+        assert (3, 3) in caps and (3, 2) not in caps
         assert all(c >= a for a, c in caps), caps
 
 
