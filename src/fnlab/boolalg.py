@@ -41,7 +41,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import InvalidArgument, SizeExceeded
-from .poset import Poset, bits_of, check_count, check_poset_size
+from .poset import Poset, bits_of, check_count, check_index, check_poset_size
 
 ALGEBRA_CAP = 2**20
 
@@ -173,6 +173,7 @@ class BooleanAlgebra:
         return iter(self.carrier)
 
     def element_mask(self, index: int) -> int:
+        check_index(index, "element index", self.size)
         return self.carrier[index]
 
     def element_index(self, mask: int) -> int:
@@ -401,9 +402,7 @@ class CoproductAlgebra:
     def check_cofactor(self, i: int) -> None:
         """Refuse a cofactor index that is not a count below the number of
         cofactors."""
-        check_count(i, "cofactor index")
-        if i >= len(self.cofactors):
-            raise InvalidArgument(f"cofactor index {i} is not below {len(self.cofactors)}")
+        check_index(i, "cofactor index", len(self.cofactors))
 
     def embed(self, i: int, b: int) -> int:
         """Embedding of cofactor-``i`` element ``b`` into the base; a
@@ -418,6 +417,7 @@ class CoproductAlgebra:
 
     def embedded_image(self, i: int) -> tuple[int, ...]:
         """All base elements in the image of cofactor ``i``, ascending."""
+        self.check_cofactor(i)
         return _unions(self.lanes[i])
 
     def __eq__(self, other):

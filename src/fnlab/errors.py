@@ -1,12 +1,10 @@
 """Exception types shared across the package.
 
 Every refused argument is an ``InvalidArgument`` whose message names the
-fault, except an index outside the poset, which is an ``IndexOutOfRange``
-(also an ``IndexError``). The classes that carry witness data as attributes,
-so callers can render diagnostics without parsing messages, are the
-order-axiom failures ``NotReflexive``, ``NotAntisymmetric`` and
-``NotTransitive``, and ``NotMonotone``, ``BudgetExceeded``,
-``TransportDefect`` and ``ParseError``.
+fault. The classes that carry witness data as attributes, so callers can
+render diagnostics without parsing messages, are the order-axiom failures
+``NotReflexive``, ``NotAntisymmetric`` and ``NotTransitive``, and
+``NotMonotone``, ``BudgetExceeded``, ``TransportDefect`` and ``ParseError``.
 """
 
 
@@ -19,9 +17,10 @@ class InvalidArgument(FnLabError, ValueError):
     count, capacity or budget that is not a plain int or is below its least
     value, a generator outside the algebra, a map that is not total, a pair
     that is not valid or not on the cofactor's order, a map that is not a
-    retraction, a degenerate cofactor, an element index that is not a plain
-    int, a cofactor, base or ambient that is not a plain algebra, or an
-    empty view."""
+    retraction, a degenerate cofactor, an index (of an element, a cover-edge
+    end or a cofactor) that is not a plain int or lies outside its bound, a
+    cofactor, base or ambient that is not a plain algebra, or an empty
+    view."""
 
 
 class NotReflexive(FnLabError):
@@ -61,10 +60,6 @@ class BudgetExceeded(SizeExceeded):
     def __init__(self, nodes: int, budget: int):
         self.nodes, self.budget = nodes, budget
         super().__init__(f"node budget exhausted ({nodes} nodes, budget {budget})")
-
-
-class IndexOutOfRange(FnLabError, IndexError):
-    pass
 
 
 class NotMonotone(FnLabError):

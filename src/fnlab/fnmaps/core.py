@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ..errors import IndexOutOfRange, InvalidArgument
+from ..errors import InvalidArgument
 from ..poset import Poset, bits_of, check_count, mask_of
 
 SetMap = tuple[int, ...]  # one bitmask per poset element
@@ -67,7 +67,7 @@ def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:
             # an index outside [0, n) sets bit n, so a huge one allocates nothing
             m = mask_of([i if 0 <= i < P.n else P.n for i in idx])
         if m < 0 or m >> P.n:
-            raise IndexOutOfRange(f"{name}({x}) mentions elements outside the poset")
+            raise InvalidArgument(f"{name}({x}) mentions elements outside the poset")
         masks.append(m)
     return tuple(masks)
 
@@ -204,9 +204,7 @@ def wellorder_map(P: Poset, order: Sequence[int]) -> SetMap:
 def interpolant_lookup(pair: FnPair, p: int, q: int) -> tuple[int, int]:
     """Deterministic least-index witnesses ``(r, s)`` for a comparable pair."""
     P = pair.poset
-    P.check_index(p)
-    P.check_index(q)
-    if not P.up[p] >> q & 1:
+    if not P.leq(p, q):
         raise InvalidArgument(f"{p} <= {q} does not hold")
     box = P.up[p] & P.down[q]
     r = pair.f[p] & pair.g[q] & box

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
-    IndexOutOfRange,
     InvalidArgument,
     NotAntisymmetric,
     NotMonotone,
@@ -34,6 +33,14 @@ def check_count(value: int, what: str, least: int = 0) -> None:
         raise InvalidArgument(f"{what} {value!r} is not an integer")
     if value < least:
         raise InvalidArgument(f"{what} {value} is below {least}")
+
+
+def check_index(value: int, what: str, size: int) -> None:
+    """Refuse an index (an element, a cover-edge end, a cofactor) that is
+    not a plain int or lies outside ``0..size-1``."""
+    if type(value) is not int or not 0 <= value < size:
+        check_count(value, what)
+        raise InvalidArgument(f"{what} {value} is not below {size}")
 
 
 def check_poset_size(n: int) -> None:
@@ -88,10 +95,7 @@ class Poset:
     def check_index(self, p: int) -> None:
         """Refuse an element index that is not a plain int (a bool, a float
         or a numpy scalar) or lies outside ``0..n-1``."""
-        if type(p) is not int:
-            raise InvalidArgument(f"element {p!r} is not an integer index")
-        if not 0 <= p < self.n:
-            raise IndexOutOfRange(f"element {p} out of range for poset of size {self.n}")
+        check_index(p, "element", self.n)
 
     def leq(self, p: int, q: int) -> bool:
         self.check_index(p)
@@ -263,10 +267,8 @@ def poset_from_covers(
             lo, hi = edge
         except (TypeError, ValueError):
             raise InvalidArgument(f"cover edge {edge!r} is not a pair of integer indices") from None
-        if type(lo) is not int or type(hi) is not int:
-            raise InvalidArgument(f"cover edge ({lo!r}, {hi!r}) is not a pair of integer indices")
-        if not (0 <= lo < n and 0 <= hi < n):
-            raise IndexOutOfRange(f"cover edge ({lo}, {hi}) out of range")
+        check_index(lo, "cover edge end", n)
+        check_index(hi, "cover edge end", n)
         up[lo] |= 1 << hi
         down[hi] |= 1 << lo
     _reach(up)

@@ -144,6 +144,8 @@ def loads(text: str):
             return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON: {e.msg}", e.lineno, e.colno) from e
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     except ValueError:  # from the integer conversion
         raise ParseError(f"an integer is wider than a mask of {ALGEBRA_CAP} atoms") from None
 
@@ -335,14 +337,20 @@ def frontier_from_csv(text: str) -> Frontier:
 # --------------------------------------------------------------- algebras
 
 def _headers(A) -> dict:
-    """The ``atoms`` and ``elements`` an algebra's file counts, those of the
-    powerset a coproduct or an exponential is built on, and an exponential's
-    ``points``."""
+    """The fields of an algebra's file that the writer derives from the
+    algebra and the reader compares with the one it builds: the ``atoms``
+    and ``elements`` the file counts, those of the powerset a coproduct or
+    an exponential is built on, an exponential's ``points``, and the
+    ``carrier`` and ``generators`` of an interval or a tree algebra (a
+    subalgebra's carrier is an input to the reader)."""
     if isinstance(A, CoproductAlgebra):
         return {"atoms": A.katoms, "elements": A.base.size}
     if isinstance(A, ExponentialAlgebra):
         return {"atoms": A.algebra.k, "elements": A.algebra.size, "points": list(A.points)}
-    return {"atoms": A.k, "elements": A.size}
+    headers = {"atoms": A.k, "elements": A.size}
+    if A.provenance.get("kind") in ("interval", "tree") and "generators" in A.provenance:
+        headers.update(carrier=list(A.carrier), generators=A.provenance["generators"])
+    return headers
 
 
 def algebra_to_obj(A) -> dict:
@@ -360,8 +368,8 @@ def algebra_to_obj(A) -> dict:
 
 
 def algebra_from_obj(obj):
-    """The algebra ``obj`` describes.  Its ``atoms``, ``elements`` and
-    ``points`` headers, where present, must match the algebra built."""
+    """The algebra ``obj`` describes.  Every field of :func:`_headers` it
+    holds must match the algebra built."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("algebra object needs a 'kind' field")
     kind = obj["kind"]
@@ -388,19 +396,20 @@ def algebra_from_obj(obj):
         else:
             raise ParseError(f"unknown algebra kind {kind!r}")
         for field, value in _headers(A).items():
+            got = obj.get(field, value)
             # compared by value and type, so true is not 1 and 4.0 is not 4
-            if field in obj and (
-                obj[field] != value
-                or not _plain_ints(obj[field] if field == "points" else [obj[field]])
-            ):
+            if got != value or not _plain_ints(got if type(value) is list else [got]):
+                if field in ("carrier", "generators"):  # too wide to print
+                    raise ParseError(f"bad {kind} algebra: '{field}' does not match")
                 with _mask_digits():
-                    got = f"'{field}' is {obj[field]!r}, not {value!r}"
-                raise ParseError(f"bad {kind} algebra: {got}")
+                    raise ParseError(f"bad {kind} algebra: '{field}' is {got!r}, not {value!r}")
         return A
     except KeyError as e:
         raise ParseError(f"{kind} algebra needs a {e} field") from None
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad {kind} algebra: {e}") from None
+    except RecursionError:  # bases and cofactors nested past the interpreter's stack
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _int(obj: dict, field: str) -> int:

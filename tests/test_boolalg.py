@@ -140,7 +140,7 @@ class TestElementSetEquality:
     def test_element_mask_past_size_raises(self, make):
         A = make()
         assert [A.element_mask(i) for i in range(A.size)] == list(A.elements())
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidArgument):
             A.element_mask(A.size)
 
 
@@ -664,7 +664,7 @@ def test_refused_arguments_share_one_class():
     """Every refused argument is an ``InvalidArgument``: an error class of its
     own either carries witness data (its own ``__init__``) or is one of the
     message-only classes with a distinct meaning or exit code."""
-    message_only = {"InvalidArgument", "IndexOutOfRange", "SizeExceeded"}
+    message_only = {"InvalidArgument", "SizeExceeded"}
     found, todo = [], [FnLabError]
     while todo:
         for cls in todo.pop().__subclasses__():

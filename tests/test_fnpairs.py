@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fnlab.errors import IndexOutOfRange, InvalidArgument
+from fnlab.errors import InvalidArgument
 from fnlab.fnmaps import (
     FnPair,
     Verdict,
@@ -45,15 +45,15 @@ class TestVerifySingle:
             verify_single(chain(2), [{0}])
 
     def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument):
             verify_single(chain(2), [{0}, {5}])
         # a negative index gets the same error as one past the end
-        with pytest.raises(IndexOutOfRange, match=r"^h\(0\) mentions elements outside the poset$"):
+        with pytest.raises(InvalidArgument, match=r"^h\(0\) mentions elements outside the poset$"):
             verify_single(chain(2), [[0, -3], [1]])
-        with pytest.raises(IndexOutOfRange, match=r"^f\(0\) mentions elements outside the poset$"):
+        with pytest.raises(InvalidArgument, match=r"^f\(0\) mentions elements outside the poset$"):
             FnPair(chain(2), [[-1], [1]], [[0], [1]])
         # an index far past the poset is refused without building its mask
-        with pytest.raises(IndexOutOfRange, match=r"^g\(1\) mentions elements outside the poset$"):
+        with pytest.raises(InvalidArgument, match=r"^g\(1\) mentions elements outside the poset$"):
             FnPair(chain(2), [[0], [1]], [[0], [10**15]])
 
     @pytest.mark.parametrize("entry", [True, [0.0], ["0"], "0", None, 1.5, [True], [None]])

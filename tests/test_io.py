@@ -15,6 +15,7 @@ from fnlab.boolalg import (
     powerset_algebra,
     tree_algebra,
 )
+from fnlab.cli import main
 from fnlab.errors import ParseError
 from fnlab.fnmaps import FnPair, Verdict, trivial_pair, verify_pair
 from fnlab.poset import MonotoneMap, bits_of, chain, diamond, poset_from_covers
@@ -227,6 +228,38 @@ class TestAlgebraRoundTrip:
         with pytest.raises(ParseError):
             ser.algebra_from_obj({"kind": "subalgebra", "atoms": 2, "carrier": [0, 3], "generators": gens})
 
+    def test_carrier_not_a_list_refused(self):
+        with pytest.raises(ParseError) as e:
+            ser.algebra_from_obj({"kind": "subalgebra", "atoms": 2, "carrier": "03"})
+        assert str(e.value) == "bad subalgebra algebra: 'carrier' and 'generators' must be lists"
+
+    def test_subalgebra_carrier_in_any_order(self):
+        """A subalgebra's carrier is an input, not a derived field."""
+        obj = {"kind": "subalgebra", "atoms": 2, "carrier": [3, 0], "generators": [3]}
+        assert ser.algebra_from_obj(obj) == BooleanAlgebra(2, [0, 3])
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (lambda: interval_algebra(2), "carrier", [0, 3]),
+            (lambda: interval_algebra(2), "generators", [99]),
+            (lambda: interval_algebra(2), "carrier", "0123"),
+            (lambda: interval_algebra(3), "carrier", [0]),
+            (lambda: tree_algebra(2, 2), "carrier", [0, 85, 255, 170]),
+            (lambda: tree_algebra(2, 2), "generators", [True, 85]),
+        ],
+    )
+    def test_derived_field_mismatch_refused(self, make, field, value):
+        """The ``carrier`` and ``generators`` an interval or a tree file
+        holds are derived from its parameters and must match them; the
+        message does not print the lists."""
+        A = make()
+        obj = {**ser.algebra_to_obj(A), field: value}
+        kind = A.provenance["kind"]
+        with pytest.raises(ParseError) as e:
+            ser.algebra_from_obj(obj)
+        assert str(e.value) == f"bad {kind} algebra: '{field}' does not match"
+
     def test_element_count_header(self):
         obj = ser.algebra_to_obj(interval_algebra(3))
         assert obj["elements"] == 8 and obj["atoms"] == 3
@@ -305,6 +338,30 @@ class TestAlgebraRoundTrip:
         with pytest.raises(ParseError) as e:
             ser.algebra_from_obj(obj)
         assert str(e.value) == "bad coproduct algebra: cofactors must have at least two elements"
+
+
+class TestNestingDepth:
+    """Input nested past the interpreter's stack is a parse error, not a
+    ``RecursionError``."""
+
+    def test_deep_json_refused(self):
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            ser.loads("[" * 200000)
+
+    def test_deep_algebra_refused(self):
+        """Exponentials nested deeper than the stack, in an object that a
+        newer interpreter's JSON decoder would still return."""
+        obj = {"kind": "powerset", "atoms": 1}
+        for _ in range(3000):
+            obj = {"kind": "exponential", "base": obj}
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            ser.algebra_from_obj(obj)
+
+    def test_deep_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "\n")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: JSON nested too deeply\n"
 
 
 class TestCanonicalBytes:

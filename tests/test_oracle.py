@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fnlab.errors import SizeExceeded
-from fnlab.fnmaps import FnPair, verify_pair, verify_single
+from fnlab.fnmaps import FnPair, frontier, verify_pair, verify_single
 from fnlab.gen import random_poset
 from fnlab.oracle import (
     LABELED_POSET_COUNTS,
@@ -99,6 +99,12 @@ class TestBruteFeasible:
 
 
 class TestBruteFrontier:
+    def test_empty_poset(self):
+        """The empty poset carries the empty pair at every capacity."""
+        assert brute_feasible(chain(0), (1, 1))
+        assert brute_pair_product_feasible(chain(0), (1, 1))
+        assert brute_frontier(chain(0)) == frontier(chain(0)).points == ((1, 1),)
+
     def test_size_guard(self):
         with pytest.raises(SizeExceeded):
             brute_frontier(chain(6))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fnlab.errors import (
     FnLabError,
-    IndexOutOfRange,
     InvalidArgument,
     NotAntisymmetric,
     NotMonotone,
@@ -319,7 +318,7 @@ class TestDownUpSets:
         assert diamond().down_set(1) == {0, 1}
 
     def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument):
             chain(2).down_set(5)
 
     @given(st.integers(0, 10**6), st.integers(1, 7))
@@ -332,8 +331,8 @@ class TestDownUpSets:
 
 class TestPlainIntIndices:
     """An element index is a plain int: a float, a bool or a string is
-    refused as ``InvalidArgument`` naming it, and an int outside the poset
-    is still an ``IndexOutOfRange``."""
+    refused as ``InvalidArgument`` naming it, and so is an int outside the
+    poset."""
 
     @pytest.mark.parametrize(
         "call, bad",
@@ -354,15 +353,15 @@ class TestPlainIntIndices:
         with pytest.raises(InvalidArgument) as e:
             call()
         assert type(e.value) is InvalidArgument
-        assert str(e.value) == f"element {bad!r} is not an integer index"
+        assert str(e.value) == f"element {bad!r} is not an integer"
 
     @pytest.mark.parametrize("edge", [(0.0, 1), (False, True), (0, "1"), (None, 1)])
     def test_cover_edge_refused(self, edge):
         with pytest.raises(InvalidArgument) as e:
             poset_from_covers(3, [edge])
         assert type(e.value) is InvalidArgument
-        lo, hi = edge
-        assert str(e.value) == f"cover edge ({lo!r}, {hi!r}) is not a pair of integer indices"
+        bad = next(end for end in edge if type(end) is not int)
+        assert str(e.value) == f"cover edge end {bad!r} is not an integer"
 
     @pytest.mark.parametrize(
         "call, message",
@@ -384,11 +383,11 @@ class TestPlainIntIndices:
             transport_subalgebra(trivial_pair(chain(3)), SubsetView(chain(3), frozenset({0.5, 1})))
 
     def test_out_of_range_int_is_index_error(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument):
             chain(3).leq(0, 3)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument):
             poset_from_covers(3, [(0, 3)])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument):
             MonotoneMap(chain(2), chain(2), (0, -1))
 
 

@@ -517,9 +517,16 @@ def _refusals():
         (lambda: exponential(E), "an exponential base must be a plain boolean algebra"),
         (lambda: generated_subalgebra(E, [1]),
          "a subalgebra's ambient must be a plain boolean algebra"),
-        (lambda: c2.leq(0.5, 1), "element 0.5 is not an integer index"),
-        (lambda: poset_from_covers(2, [(0.0, 1)]),
-         "cover edge (0.0, 1) is not a pair of integer indices"),
+        (lambda: c3.leq(0.5, 1), "element 0.5 is not an integer"),
+        (lambda: c3.leq(5, 0), "element 5 is not below 3"),
+        (lambda: c3.leq(-1, 0), "element -1 is below 0"),
+        (lambda: poset_from_covers(2, [(0, 5)]), "cover edge end 5 is not below 2"),
+        (lambda: poset_from_covers(2, [(0.0, 1)]), "cover edge end 0.0 is not an integer"),
+        (lambda: P2.element_mask(-1), "element index -1 is below 0"),
+        (lambda: P2.element_mask(4), "element index 4 is not below 4"),
+        (lambda: P2.element_mask(2.0), "element index 2.0 is not an integer"),
+        (lambda: C.embedded_image(-1), "cofactor index -1 is below 0"),
+        (lambda: FnPair(c2, [[0], [5]], [[0], [1]]), "f(1) mentions elements outside the poset"),
         (lambda: chain(2.0), "poset size 2.0 is not an integer"),
         (lambda: chain(-1), "poset size -1 is below 0"),
         (lambda: antichain(2.0), "poset size 2.0 is not an integer"),
@@ -536,7 +543,7 @@ def _refusals():
         (lambda: generated_subalgebra(P2, [1.0]), "mask 1.0 is not an element of the algebra"),
         (lambda: generated_subalgebra(P2, [True]), "mask True is not an element of the algebra"),
         (lambda: hyperspace_basic_set(E, [1.0]), "mask 1.0 is not an element of the algebra"),
-        (lambda: cofactor_projections(C, 0.0, 1), "cofactor 0.0 and mask 1 must be integers"),
+        (lambda: cofactor_projections(C, 0.0, 1), "cofactor index 0.0 is not an integer"),
         (lambda: search_pair(c3, (1,)), "capacities (1,) are not a pair (a, b)"),
         (lambda: search_pair(c3, 5), "capacities 5 are not a pair (a, b)"),
         (lambda: search_pair(c3, (0, 1)), "capacity a 0 is below 1"),
