@@ -8,9 +8,9 @@ be fast beyond desk scale.
 Feasibility does not depend on labels, so the feasibility tables are cached
 per isomorphism class: each is keyed on a canonical relabeling of the poset
 (:func:`_canonical_rows`) and the capacity, and the 4231 labeled 5-element
-posets need only 63 classes' tables per capacity.  numpy (the ``oracle``
-extra) is imported by the table builder alone, so that importing this module
-(and the CLI) stays cheap and works without it.
+posets need only 63 classes' tables per capacity.  The tables are sweeps
+over Python ints used as bitsets, so the oracle, like the rest of the
+package, needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 
 from .boolalg import CoproductAlgebra
-from .errors import FnLabError, SizeExceeded
+from .errors import SizeExceeded
 from .fnmaps.core import CapacityPair, check_capacities
-from .poset import Poset, SubsetView, _poset_from_rows, bits_of, check_poset_size
+from .poset import Poset, SubsetView, _poset_from_rows, bits_of, check_count, check_poset_size
 
 ORACLE_MAX_ELEMENTS = 5
 ORACLE_CELL_BUDGET = 2**25
@@ -150,35 +150,33 @@ def _canonical_rows(P: Poset) -> tuple[int, ...]:
 def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     """Smallest worst-case ``g`` image size over all exact-``a`` choices of
     ``f`` on the poset with up-rows ``rows`` (a key from
-    :func:`_canonical_rows`), by exhaustive tensor enumeration.
+    :func:`_canonical_rows`), by an exhaustive sweep over bitsets.
 
     For a fixed ``f`` the two interpolation clauses decompose per element:
     ``g(x)`` must hit ``f(p) ∩ [p, x]`` for every ``p <= x`` and
-    ``f(q) ∩ [x, q]`` for every ``q >= x``.  Each element ``x`` gets one
-    boolean tensor: an axis of ``f`` choices per element comparable to
-    ``x`` (length 1 for the others), and a last axis of every candidate
-    ``g(x)``, each subset holding ``x``, smallest first.  Every comparable
-    ``c`` and box ANDs in its hit test, one table over the ``f(c)`` choices
-    and the candidates broadcast along the axis of ``c`` and the last one,
-    so a cell stays True exactly when that ``f`` and that ``g(x)`` satisfy
-    both clauses.  The first True along the last axis is the least ``g(x)``
-    size for that ``f``, and there always is one: the last candidate, the
-    full set, meets each ``f(c) ∩ box`` in ``c``.  Broadcasting the
-    elementwise maximum of these over the joint ``f`` space and taking the
-    minimum is therefore an exhaustive sweep of all pairs.  With
-    ``K = C(n - 1, a - 1)`` choices per element, one element's tensor has
-    at most ``K**n * 2**(n - 1)`` cells, which :data:`ORACLE_CELL_BUDGET`
-    caps.
+    ``f(q) ∩ [x, q]`` for every ``q >= x``.  With ``K = C(n - 1, a - 1)``
+    choices per element, the joint choice of ``f`` that takes choice
+    ``k_c`` at each ``c`` has the index ``Σ k_c·K**c``, and a Python int of
+    ``K**n`` bits is a set of joint choices.  ``pat[c][k]``, the set whose
+    digit ``c`` is ``k``, is ``pat[c][0]`` shifted, and ``pat[c][0]`` is
+    built by doubling shifts.  For each ``x``, every candidate ``g(x)``
+    holding ``x`` has a hit set: the AND, over each ``c`` comparable to
+    ``x``, of the OR of ``pat[c][k]`` over the choices ``f(c)`` that meet
+    ``g(x)`` in the box between ``c`` and ``x`` (memoized per ``c`` and
+    box-trace of ``g(x)``; ``c = x`` always hits, as both maps hold ``x``).
+    ``good[s]``, the union of the hit sets of the candidates of at most
+    ``s`` elements, holds each ``f`` that some ``g(x)`` of size at most
+    ``s`` serves at ``x``; ``good[n]`` holds every ``f``, as the full set
+    meets each ``f(c) ∩ box`` in ``c``.  The table is the least ``b`` for
+    which the ``good[b]`` of every ``x`` share an ``f``: an exhaustive sweep
+    of all pairs.  Each element ANDs sets of ``K**n`` bits for each of its
+    ``2**(n - 1)`` candidates, and :data:`ORACLE_CELL_BUDGET` caps that
+    product.
 
     The cache is unbounded but small: one int per isomorphism class and
     capacity, and posets up to ``ORACLE_MAX_ELEMENTS`` elements fall into
     88 classes.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        raise FnLabError("the oracle tables need numpy: install fnlab[oracle]") from None
-
     n = len(rows)
     down = [sum(1 << x for x in range(n) if rows[x] >> y & 1) for y in range(n)]
     P = _poset_from_rows(n, rows, down)
@@ -186,19 +184,37 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     K = len(cands[0])
     if K**n << (n - 1) > ORACLE_CELL_BUDGET:
         raise SizeExceeded(f"oracle tensor would need {K}**{n} * 2**{n - 1} cells")
-    joint = np.int16(0)
+    every = (1 << K**n) - 1
+    pat = []
+    for c in range(n):
+        zero, span = (1 << K**c) - 1, K ** (c + 1)
+        while span < K**n:
+            zero |= zero << span
+            span *= 2
+        pat.append([(zero & every) << (k * K**c) for k in range(K)])
+    meets = [every] * (n + 1)
     for x in range(n):
-        own = sorted((S for S in range(1 << n) if S >> x & 1), key=lambda S: (S.bit_count(), S))
-        sizes = np.array([S.bit_count() for S in own], dtype=np.int16)
-        comp = [c for c in range(n) if P.leq(c, x) or P.leq(x, c)]
-        ok = np.ones([K if c in comp else 1 for c in range(n)] + [len(own)], dtype=bool)
-        for c in comp:
-            for lo, hi in ((c, x), (x, c)):
-                if P.leq(lo, hi):
-                    hit = (np.bitwise_and.outer(cands[c], own) & P.up[lo] & P.down[hi]) != 0
-                    ok &= hit.reshape([K if cc == c else 1 for cc in range(n)] + [-1])
-        joint = np.maximum(joint, sizes[ok.argmax(-1)])
-    return int(joint.min())
+        boxes = [(c, P.up[c] & P.down[x] | P.up[x] & P.down[c]) for c in range(n) if c != x]
+        boxes = [(c, box) for c, box in boxes if box]
+        union = {}
+        good = [0] * (n + 1)
+        for g in range(1 << n):
+            if not g >> x & 1:
+                continue
+            hit = every
+            for c, box in boxes:
+                key = c, box & g
+                if key not in union:
+                    union[key] = 0
+                    for k, f in enumerate(cands[c]):
+                        if f & box & g:
+                            union[key] |= pat[c][k]
+                hit &= union[key]
+            good[g.bit_count()] |= hit
+        for s in range(1, n + 1):
+            good[s] |= good[s - 1]
+        meets = [m & gd for m, gd in zip(meets, good)]
+    return next(b for b in range(1, n + 1) if meets[b])
 
 
 def brute_feasible(P: Poset, cap: CapacityPair | tuple[int, int]) -> bool:
@@ -213,6 +229,7 @@ def brute_feasible(P: Poset, cap: CapacityPair | tuple[int, int]) -> bool:
 
 def brute_frontier(P: Poset, max_size: int = ORACLE_MAX_ELEMENTS):
     """Pareto-minimal feasible capacities straight from the boundary table."""
+    check_count(max_size, "oracle element cap")
     if P.n > max_size:
         raise SizeExceeded(f"oracle capped at {max_size} elements, got {P.n}")
     if P.n == 0:

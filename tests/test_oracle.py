@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fnlab.errors import SizeExceeded
+from fnlab.errors import InvalidArgument, SizeExceeded
 from fnlab.fnmaps import FnPair, frontier, verify_pair, verify_single
 from fnlab.gen import random_poset
 from fnlab.oracle import (
@@ -109,6 +109,17 @@ class TestBruteFrontier:
         with pytest.raises(SizeExceeded):
             brute_frontier(chain(6))
 
+    @pytest.mark.parametrize("cap, message", [
+        ("6", "oracle element cap '6' is not an integer"),
+        (True, "oracle element cap True is not an integer"),
+        (2.5, "oracle element cap 2.5 is not an integer"),
+        (-1, "oracle element cap -1 is below 0"),
+    ])
+    def test_max_size_refused(self, cap, message):
+        with pytest.raises(InvalidArgument) as e:
+            brute_frontier(chain(3), max_size=cap)
+        assert str(e.value) == message
+
     def test_cell_budget(self):
         # past the size guard, the a = 3 table of a 7-chain needs 15**7 * 2**6 cells
         with pytest.raises(SizeExceeded, match="cells"):
@@ -116,7 +127,7 @@ class TestBruteFrontier:
 
     def test_cell_budget_counts_the_subset_axis(self):
         # 7**8 f choices fit in the budget, but with the 2**7 candidate
-        # g(x) subsets per element the tensor does not
+        # g(x) subsets per element the bitset work does not
         assert 7**8 <= ORACLE_CELL_BUDGET < 7**8 * 2**7
         with pytest.raises(SizeExceeded, match="cells"):
             _needed_g_table(chain(8).up, 2)
@@ -160,6 +171,18 @@ class TestCanonicalForm:
                 for a in range(1, n + 1):
                     own = _needed_g_table.__wrapped__(P.up, a)
                     assert _needed_g_table(key, a) == own
+
+    def test_tables_frozen(self):
+        """Every table of every class with up to 5 elements, of ``chain(6)``
+        and of eight seeded 6-element posets, at every capacity, frozen."""
+        rng = random.Random(0x7AB1E)
+        keys = sorted({_canonical_rows(P) for n in range(1, 6) for P in enumerate_posets(n)})
+        keys += [_canonical_rows(P) for P in [chain(6), *(random_poset(6, rng) for _ in range(8))]]
+        h = hashlib.sha256()
+        for rows in keys:
+            for a in range(1, len(rows) + 1):
+                h.update(repr((rows, a, _needed_g_table(rows, a))).encode())
+        assert h.hexdigest() == "7c0ba66f7406983330421c01e680548090fd7aa143bbcc69e02aac6200b30d16"
 
     def test_sweep_builds_one_table_per_class_and_capacity(self):
         _needed_g_table.cache_clear()
