@@ -141,7 +141,6 @@ class BooleanAlgebra:
         self.provenance = provenance or (
             {"kind": "powerset"} if carrier is None else {"kind": "subalgebra", "generators": []}
         )
-        self._poset = None
         if carrier is not None and _validate:
             self._validate_carrier()
 
@@ -193,19 +192,18 @@ class BooleanAlgebra:
         An algebra of ``2**b`` elements has the order of the ``b``-atom
         powerset (two unions of atom blocks compare as integers by the top
         block of their symmetric difference), so row ``x`` extends row
-        ``x ^ low`` by the least atom ``low`` of ``x``."""
-        if self._poset is None:
-            n = self.size
-            check_poset_size(n)
-            pat = atom_patterns(n.bit_length() - 1)
-            up = [(1 << n) - 1] + [0] * (n - 1)
-            down = [1] + [0] * (n - 1)
-            for x in range(1, n):
-                low = x & -x
-                up[x] = up[x ^ low] & pat[low.bit_length() - 1]
-                down[x] = down[x ^ low] | down[x ^ low] << low
-            self._poset = Poset(n, tuple(up), tuple(down))
-        return self._poset
+        ``x ^ low`` by the least atom ``low`` of ``x``.  Each call builds
+        the order afresh; the algebra keeps no copy."""
+        n = self.size
+        check_poset_size(n)
+        pat = atom_patterns(n.bit_length() - 1)
+        up = [(1 << n) - 1] + [0] * (n - 1)
+        down = [1] + [0] * (n - 1)
+        for x in range(1, n):
+            low = x & -x
+            up[x] = up[x ^ low] & pat[low.bit_length() - 1]
+            down[x] = down[x ^ low] | down[x ^ low] << low
+        return Poset(n, tuple(up), tuple(down))
 
     def __eq__(self, other):
         """Equal element sets: both full powersets (listed or not) of the

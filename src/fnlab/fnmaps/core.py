@@ -6,10 +6,12 @@ with ``p <= r, s <= q``.  A single map ``h`` is valid when ``(h, h)`` is;
 the two notions are interchangeable via ``collapse``.  Capacities ``(a, b)``
 bound ``|f(x)| <= a`` and ``|g(x)| <= b`` inclusively.
 
-The verifier skips every pair its own endpoint witnesses: when ``q`` lies in
-``f(p)``, ``g(p)``, ``f(q)`` and ``g(q)``, then ``r = s = q`` satisfies both
-clauses at ``(p, q)``.  Skipping those pairs leaves the first violation, and
-so every verdict, unchanged.
+Without interpolants the verifier skips every pair its own endpoint
+witnesses: when ``q`` lies in ``f(p)``, ``g(p)``, ``f(q)`` and ``g(q)``, then
+``r = s = q`` satisfies both clauses at ``(p, q)``.  Skipping those pairs
+leaves the first violation, and so every verdict, unchanged.  With
+interpolants it visits every comparable pair once, taking each pair's
+witnesses and stopping at the first violation.
 """
 
 from __future__ import annotations
@@ -136,31 +138,30 @@ def _scan(P: Poset, f: SetMap, g: SetMap) -> tuple[int, int, int] | None:
     return None
 
 
-def _interpolants(P: Poset, f: SetMap, g: SetMap) -> dict[tuple[int, int], tuple[int, int]]:
+def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
+    """Check both interpolation clauses on every comparable pair.
+
+    Returns the least violation in lexicographic ``(p, q)`` index order,
+    clause 1 before clause 2.  Without interpolants, a pair whose endpoint
+    ``q`` lies in ``f(p)``, ``g(p)``, ``f(q)`` and ``g(q)`` is witnessed by
+    ``r = s = q`` and is not scanned.  With them, one pass visits every
+    comparable pair and records its least-index witnesses, which a valid
+    pair's verdict carries.
+    """
+    P, f, g = pair.poset, pair.f, pair.g
+    if not with_interpolants:
+        hit = _scan(P, f, g)
+        return Verdict(hit is None, hit)
     out = {}
     for p in range(P.n):
         for q in bits_of(P.up[p]):
             box = P.up[p] & P.down[q]
             r = f[p] & g[q] & box
             s = g[p] & f[q] & box
+            if not (r and s):
+                return Verdict(False, (p, q, 2 if r else 1))
             out[(p, q)] = ((r & -r).bit_length() - 1, (s & -s).bit_length() - 1)
-    return out
-
-
-def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
-    """Check both interpolation clauses on every comparable pair.
-
-    Returns the least violation in lexicographic ``(p, q)`` index order,
-    clause 1 before clause 2.  A pair whose endpoint ``q`` lies in ``f(p)``,
-    ``g(p)``, ``f(q)`` and ``g(q)`` is witnessed by ``r = s = q`` and is not
-    scanned.  Interpolants, when requested, are still the least-index
-    witnesses of every comparable pair.
-    """
-    hit = _scan(pair.poset, pair.f, pair.g)
-    if hit is not None:
-        return Verdict(False, hit)
-    inter = _interpolants(pair.poset, pair.f, pair.g) if with_interpolants else None
-    return Verdict(True, None, inter)
+    return Verdict(True, None, out)
 
 
 def verify_single(P: Poset, h: Iterable[object]) -> Verdict:

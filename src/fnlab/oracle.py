@@ -179,7 +179,6 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     """
     n = len(rows)
     down = [sum(1 << x for x in range(n) if rows[x] >> y & 1) for y in range(n)]
-    P = _poset_from_rows(n, rows, down)
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
     K = len(cands[0])
     if K**n << (n - 1) > ORACLE_CELL_BUDGET:
@@ -194,7 +193,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
         pat.append([(zero & every) << (k * K**c) for k in range(K)])
     meets = [every] * (n + 1)
     for x in range(n):
-        boxes = [(c, P.up[c] & P.down[x] | P.up[x] & P.down[c]) for c in range(n) if c != x]
+        boxes = [(c, rows[c] & down[x] | rows[x] & down[c]) for c in range(n) if c != x]
         boxes = [(c, box) for c, box in boxes if box]
         union = {}
         good = [0] * (n + 1)

@@ -38,7 +38,7 @@ from .boolalg import (
 from .errors import ParseError
 from .fnmaps.core import FnPair, Verdict
 from .fnmaps.search import Frontier
-from .poset import MAX_ELEMENTS, MonotoneMap, Poset, mask_of, poset_from_covers
+from .poset import MonotoneMap, Poset, mask_of, poset_from_covers
 
 
 @contextmanager
@@ -55,8 +55,6 @@ def _mask_digits():
 
 
 _escape = json.encoder.encode_basestring_ascii
-# the text of every element index, which is most of what pairs and verdicts hold
-_INDEX_TEXT = list(map(str, range(MAX_ELEMENTS)))
 
 
 def _write(o, pad: str, out: list, memo: dict) -> None:
@@ -77,8 +75,7 @@ def _write(o, pad: str, out: list, memo: dict) -> None:
         inner = pad + "  "
         sep = ",\n" + inner
         if set(map(type, o)) == {int}:
-            digits = _INDEX_TEXT.__getitem__ if 0 <= min(o) and max(o) < MAX_ELEMENTS else str
-            text = "[\n" + inner + sep.join(map(digits, o)) + "\n" + pad + "]"
+            text = "[\n" + inner + sep.join(map(str, o)) + "\n" + pad + "]"
             memo[id(o), pad] = o, text
             out.append(text)
             return

@@ -542,7 +542,10 @@ class TestWordParallelKernel:
         trees = [(0, 1), (1, 1), (1, 3), (1, 6), (2, 2), (2, 3), (3, 2), (3, 3)]
         algebras += [tree_algebra(lam, kap) for lam, kap in trees]
         for A in algebras:
-            assert A.as_poset() == naive_order(A.carrier), A
+            # the order is built on each call and the algebra keeps no state
+            state = dict(vars(A))
+            assert A.as_poset() == naive_order(A.carrier) == A.as_poset(), A
+            assert vars(A) == state, A
 
     def test_carrier_order_is_word_parallel(self):
         A = tree_algebra(1, 12)  # 4096 elements: a pairwise order takes seconds

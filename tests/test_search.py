@@ -55,6 +55,11 @@ FROZEN_BEYOND_ORACLE = {
 WITNESS_LOG_SHA256 = "f9d316fdbe3fff38c602c53bee733c2e7ff7b52f78b1d817319e70b3d2d3e92b"
 
 
+def _widest_cone(P):
+    """The proved a = 1 row of every frontier: ``b = max |up[x] | down[x]|``."""
+    return max((P.up[x] | P.down[x]).bit_count() for x in range(P.n))
+
+
 class TestSearchPair:
     def test_antichain_singletons(self):
         got = search_pair(antichain(3), (1, 1))
@@ -399,6 +404,7 @@ class TestFrontier:
         P = random_poset(n, random.Random(seed))
         fr = frontier(P)
         assert fr.points == brute_frontier(P)
+        assert fr.points[0] == (1, _widest_cone(P))
         pts = set(fr.points)
         # symmetric
         assert {(b, a) for a, b in pts} == pts
@@ -446,6 +452,7 @@ class TestBeyondOracle:
     def test_frozen_frontier(self, name):
         P, points = FROZEN_BEYOND_ORACLE[name]
         assert frontier(P).points == points
+        assert points[0] == (1, _widest_cone(P))
         for a, b in points:
             w = search_pair(P, (a, b))
             assert w is not None
