@@ -22,25 +22,24 @@ from .boolalg import (
     tree_algebra,
 )
 from .errors import FnLabError
-from .fnmaps import (
+from .fnmaps.core import (
     CapacityPair,
     FnPair,
-    Frontier,
     Verdict,
-    cofactor_projections,
     collapse,
-    feasible,
-    frontier,
     interpolant_lookup,
-    search_pair,
-    transport_coproduct,
-    transport_exponential,
-    transport_retract,
-    transport_subalgebra,
     trivial_pair,
     verify_pair,
     verify_single,
     wellorder_map,
+)
+from .fnmaps.search import Frontier, feasible, frontier, search_pair
+from .fnmaps.transports import (
+    cofactor_projections,
+    transport_coproduct,
+    transport_exponential,
+    transport_retract,
+    transport_subalgebra,
 )
 from .poset import (
     MonotoneMap,

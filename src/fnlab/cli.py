@@ -32,17 +32,14 @@ from .errors import (
     SizeExceeded,
     TransportDefect,
 )
-from .fnmaps import (
-    Verdict,
-    frontier,
-    search_pair,
+from .fnmaps.core import Verdict, verify_pair
+from .fnmaps.search import DEFAULT_NODE_BUDGET, Frontier, frontier, search_pair
+from .fnmaps.transports import (
     transport_coproduct,
     transport_exponential,
     transport_retract,
     transport_subalgebra,
-    verify_pair,
 )
-from .fnmaps.search import DEFAULT_NODE_BUDGET, Frontier
 from .gen import DEFAULT_SEED, random_poset, random_valid_pair
 from .oracle import brute_feasible, brute_frontier, enumerate_posets
 from .poset import SubsetView

@@ -1,42 +1,6 @@
-"""Interpolation map pairs: verification, constructions, search and transports."""
+"""Interpolation map pairs: verification and constructions (``core``),
+search (``search``) and transports (``transports``).
 
-from .core import (
-    CapacityPair,
-    FnPair,
-    Verdict,
-    collapse,
-    interpolant_lookup,
-    trivial_pair,
-    verify_pair,
-    verify_single,
-    wellorder_map,
-)
-from .search import Frontier, feasible, frontier, search_pair
-from .transports import (
-    cofactor_projections,
-    transport_coproduct,
-    transport_exponential,
-    transport_retract,
-    transport_subalgebra,
-)
-
-__all__ = [
-    "CapacityPair",
-    "FnPair",
-    "Verdict",
-    "collapse",
-    "interpolant_lookup",
-    "trivial_pair",
-    "verify_pair",
-    "verify_single",
-    "wellorder_map",
-    "Frontier",
-    "feasible",
-    "frontier",
-    "search_pair",
-    "cofactor_projections",
-    "transport_coproduct",
-    "transport_exponential",
-    "transport_retract",
-    "transport_subalgebra",
-]
+The package re-exports nothing: public names are imported from ``fnlab``,
+and these three modules define them.
+"""

@@ -6,12 +6,13 @@ with ``p <= r, s <= q``.  A single map ``h`` is valid when ``(h, h)`` is;
 the two notions are interchangeable via ``collapse``.  Capacities ``(a, b)``
 bound ``|f(x)| <= a`` and ``|g(x)| <= b`` inclusively.
 
-Without interpolants the verifier skips every pair its own endpoint
-witnesses: when ``q`` lies in ``f(p)``, ``g(p)``, ``f(q)`` and ``g(q)``, then
-``r = s = q`` satisfies both clauses at ``(p, q)``.  Skipping those pairs
-leaves the first violation, and so every verdict, unchanged.  With
-interpolants it visits every comparable pair once, taking each pair's
-witnesses and stopping at the first violation.
+The verifier is one loop over the comparable pairs in index order.
+Without interpolants it skips every pair its own endpoint witnesses: when
+``q`` lies in ``f(p)``, ``g(p)``, ``f(q)`` and ``g(q)``, then ``r = s = q``
+satisfies both clauses at ``(p, q)``.  Skipping those pairs leaves the first
+violation, and so every verdict, unchanged.  With interpolants nothing is
+skipped, so the same loop visits every comparable pair and takes its
+witnesses.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ class FnPair:
         object.__setattr__(self, "f", _coerce_map(self.poset, self.f, "f"))
         object.__setattr__(self, "g", _coerce_map(self.poset, self.g, "g"))
 
-    def f_set(self, x: int) -> frozenset[int]:
-        return frozenset(bits_of(self.f[x]))
-
-    def g_set(self, x: int) -> frozenset[int]:
-        return frozenset(bits_of(self.g[x]))
-
     def capacities(self) -> CapacityPair:
         a = max((m.bit_count() for m in self.f), default=0)
         b = max((m.bit_count() for m in self.g), default=0)
@@ -115,52 +110,38 @@ class Verdict:
     interpolants: Mapping[tuple[int, int], tuple[int, int]] | None = None
 
 
-def _scan(P: Poset, f: SetMap, g: SetMap) -> tuple[int, int, int] | None:
-    up = P.up
-    down = P.down
-    # the diagonals: x in df when x in f(x), x in dg when x in g(x)
-    df = dg = 0
-    for x in range(P.n):
-        bit = 1 << x
-        df |= f[x] & bit
-        dg |= g[x] & bit
-    for p in range(P.n):
-        fp = f[p]
-        gp = g[p]
-        # q in f(p) ∩ g(q) is its own clause-1 witness and q in g(p) ∩ f(q)
-        # its own clause-2 witness, so such a q needs no scan
-        for q in bits_of(up[p] & ~(fp & gp & df & dg)):
-            box = up[p] & down[q]
-            if not fp & g[q] & box:
-                return (p, q, 1)
-            if not gp & f[q] & box:
-                return (p, q, 2)
-    return None
-
-
 def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
     """Check both interpolation clauses on every comparable pair.
 
     Returns the least violation in lexicographic ``(p, q)`` index order,
     clause 1 before clause 2.  Without interpolants, a pair whose endpoint
     ``q`` lies in ``f(p)``, ``g(p)``, ``f(q)`` and ``g(q)`` is witnessed by
-    ``r = s = q`` and is not scanned.  With them, one pass visits every
-    comparable pair and records its least-index witnesses, which a valid
-    pair's verdict carries.
+    ``r = s = q`` and is not scanned.  With them, the same loop skips
+    nothing and records each comparable pair's least-index witnesses, which
+    a valid pair's verdict carries.
     """
     P, f, g = pair.poset, pair.f, pair.g
+    up, down = P.up, P.down
+    # x is in skip when x lies in f(x) and g(x): q in skip and in f(p) ∩ g(p)
+    # is its own witness for both clauses at (p, q)
+    skip = 0
     if not with_interpolants:
-        hit = _scan(P, f, g)
-        return Verdict(hit is None, hit)
-    out = {}
+        for x in range(P.n):
+            skip |= f[x] & g[x] & (1 << x)
+    out = {} if with_interpolants else None
     for p in range(P.n):
-        for q in bits_of(P.up[p]):
-            box = P.up[p] & P.down[q]
-            r = f[p] & g[q] & box
-            s = g[p] & f[q] & box
-            if not (r and s):
-                return Verdict(False, (p, q, 2 if r else 1))
-            out[(p, q)] = ((r & -r).bit_length() - 1, (s & -s).bit_length() - 1)
+        fp = f[p]
+        gp = g[p]
+        for q in bits_of(up[p] & ~(fp & gp & skip)):
+            box = up[p] & down[q]
+            r = fp & g[q] & box
+            if not r:
+                return Verdict(False, (p, q, 1))
+            s = gp & f[q] & box
+            if not s:
+                return Verdict(False, (p, q, 2))
+            if out is not None:
+                out[(p, q)] = ((r & -r).bit_length() - 1, (s & -s).bit_length() - 1)
     return Verdict(True, None, out)
 
 

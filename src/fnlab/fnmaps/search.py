@@ -288,10 +288,6 @@ class Frontier:
 
     points: tuple[tuple[int, int], ...]
 
-    def dominates(self, cap: tuple[int, int]) -> bool:
-        """Whether the capacity pair is feasible according to the frontier."""
-        return any(a <= cap[0] and b <= cap[1] for a, b in self.points)
-
 
 def frontier(
     P: Poset,

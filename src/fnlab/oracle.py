@@ -182,7 +182,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     cands = [_exact_size_choices(n, x, a) for x in range(n)]
     K = len(cands[0])
     if K**n << (n - 1) > ORACLE_CELL_BUDGET:
-        raise SizeExceeded(f"oracle tensor would need {K}**{n} * 2**{n - 1} cells")
+        raise SizeExceeded(f"oracle table would need {K}**{n} * 2**{n - 1} cells")
     every = (1 << K**n) - 1
     pat = []
     for c in range(n):

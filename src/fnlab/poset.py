@@ -75,10 +75,6 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def set_of(mask: int) -> frozenset[int]:
-    return frozenset(bits_of(mask))
-
-
 @dataclass(frozen=True)
 class Poset:
     """An immutable finite poset.
@@ -101,14 +97,6 @@ class Poset:
         self.check_index(p)
         self.check_index(q)
         return bool(self.up[p] >> q & 1)
-
-    def down_set(self, p: int) -> frozenset[int]:
-        self.check_index(p)
-        return set_of(self.down[p])
-
-    def up_set(self, p: int) -> frozenset[int]:
-        self.check_index(p)
-        return set_of(self.up[p])
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -6,7 +6,8 @@ bit 0 least significant) under an atom-count header.  Serialization is
 canonical (sorted keys, two-space indent, trailing newline) so equal values
 produce identical bytes.  The text comes from this module's own writer,
 which equals ``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte but
-writes whole lists of integers at C speed.  A pair object holds one index
+writes whole lists of integers at C speed.  Dict keys must be strings: the
+writer raises ``TypeError`` on any other key.  A pair object holds one index
 list per distinct image, and the writer renders each such list once per
 indent, so equal images cost one lookup after the first; a list of
 integer records (verdict interpolants) is written through one template.
@@ -96,7 +97,7 @@ def _write(o, pad: str, out: list, memo: dict) -> None:
         for i, (k, v) in enumerate(sorted(o.items())):
             if i:
                 out.append(",\n" + inner)
-            out.append(_escape(k if isinstance(k, str) else _key_text(k)) + ": ")
+            out.append(_escape(k) + ": ")
             _write(v, inner, out, memo)
         out.append("\n" + pad + "}")
     else:
@@ -119,12 +120,6 @@ def _record_template(o: list, pad: str):
     inner = pad + "  "
     body = (",\n" + inner).join(_escape(k).replace("%", "%%") + ": %d" for k in names)
     return "{\n" + inner + body + "\n" + pad + "}", itemgetter(*names)
-
-
-def _key_text(k) -> str:
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def dumps(obj) -> str:

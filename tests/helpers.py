@@ -12,7 +12,12 @@ import random
 from fnlab.errors import InvalidArgument
 from fnlab.fnmaps.core import wellorder_map
 from fnlab.gen import _check_share
-from fnlab.poset import MonotoneMap, Poset, SubsetView, poset_from_covers
+from fnlab.poset import MonotoneMap, Poset, SubsetView, bits_of, poset_from_covers
+
+
+def sets_of(masks) -> list[frozenset[int]]:
+    """Each bitmask of a map as the set of its element indices."""
+    return [frozenset(bits_of(m)) for m in masks]
 
 
 def identity_map(P: Poset) -> MonotoneMap:

@@ -15,10 +15,7 @@ from pathlib import Path
 import pytest
 
 import fnlab
-from fnlab import serialize as ser
-from fnlab.boolalg import coproduct, exponential, powerset_algebra
-from fnlab.errors import BudgetExceeded, SizeExceeded
-from fnlab.fnmaps import (
+from fnlab import (
     FnPair,
     cofactor_projections,
     collapse,
@@ -33,6 +30,9 @@ from fnlab.fnmaps import (
     verify_single,
     wellorder_map,
 )
+from fnlab import serialize as ser
+from fnlab.boolalg import coproduct, exponential, powerset_algebra
+from fnlab.errors import BudgetExceeded, SizeExceeded
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.oracle import (
     LABELED_POSET_COUNTS,

@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import fnlab
+from fnlab import FnPair, Verdict, trivial_pair
 from fnlab import serialize as ser
 from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.cli import build_parser, main
 from fnlab.errors import TransportDefect
-from fnlab.fnmaps import FnPair, Verdict, trivial_pair
 from fnlab.poset import MonotoneMap, chain, diamond
 
 
@@ -564,7 +564,7 @@ class TestGen:
     def test_pair_is_valid(self, diamond_file, capsys):
         assert main(["gen", "pair", diamond_file, "--seed", "4"]) == 0
         pair = ser.pair_from_obj(json.loads(capsys.readouterr().out))
-        from fnlab.fnmaps import verify_pair
+        from fnlab import verify_pair
 
         assert verify_pair(pair).valid
 

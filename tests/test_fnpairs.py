@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fnlab.errors import InvalidArgument
-from fnlab.fnmaps import (
+from fnlab import (
     FnPair,
     Verdict,
     collapse,
@@ -15,9 +14,10 @@ from fnlab.fnmaps import (
     verify_single,
     wellorder_map,
 )
+from fnlab.errors import InvalidArgument
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.poset import antichain, bits_of, chain, diamond
-from helpers import random_total_map
+from helpers import random_total_map, sets_of
 
 
 @pytest.mark.parametrize("density", [float("nan"), -0.1, 1.5])
@@ -101,11 +101,12 @@ class TestVerifyPair:
         pair = trivial_pair(diamond())
         v = verify_pair(pair, with_interpolants=True)
         P = pair.poset
+        f, g = sets_of(pair.f), sets_of(pair.g)
         for (p, q), (r, s) in v.interpolants.items():
             assert P.leq(p, r) and P.leq(r, q)
             assert P.leq(p, s) and P.leq(s, q)
-            assert r in pair.f_set(p) and r in pair.g_set(q)
-            assert s in pair.g_set(p) and s in pair.f_set(q)
+            assert r in f[p] and r in g[q]
+            assert s in g[p] and s in f[q]
 
 
 class TestInvariants:
@@ -116,7 +117,7 @@ class TestInvariants:
         pair = FnPair(P, random_total_map(P, rng), random_total_map(P, rng))
         if verify_pair(pair).valid:
             for x in range(n):
-                assert x in pair.f_set(x) and x in pair.g_set(x)
+                assert (pair.f[x] & pair.g[x]) >> x & 1
 
     @given(st.integers(0, 10**6), st.integers(1, 6))
     def test_clause_symmetry(self, seed, n):
@@ -184,8 +185,9 @@ def _verifier_input(kind: str, P, rng: random.Random) -> FnPair:
 
 
 class TestVerifierAgainstFullScan:
-    """The verifier skips pairs that their own endpoint witnesses; its verdict
-    must equal the full scan's, interpolants included."""
+    """The verifier skips pairs that their own endpoint witnesses unless it
+    takes interpolants; either way its verdict must equal the full scan's,
+    interpolants included."""
 
     @given(st.integers(0, 10**6))
     def test_same_verdict(self, seed):
@@ -196,6 +198,8 @@ class TestVerifierAgainstFullScan:
                 pair = _verifier_input(kind, P, rng)
                 expected = _reference_verify(pair)
                 assert verify_pair(pair, with_interpolants=True) == expected, (kind, pair)
+                plain = Verdict(expected.valid, expected.violation)
+                assert verify_pair(pair) == plain, (kind, pair)
 
 
 class TestCollapse:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fnlab import FnPair, Verdict, trivial_pair, verify_pair
 from fnlab import serialize as ser
 from fnlab.boolalg import (
     BooleanAlgebra,
@@ -17,7 +18,6 @@ from fnlab.boolalg import (
 )
 from fnlab.cli import main
 from fnlab.errors import ParseError
-from fnlab.fnmaps import FnPair, Verdict, trivial_pair, verify_pair
 from fnlab.poset import MonotoneMap, bits_of, chain, diamond, poset_from_covers
 
 
@@ -119,7 +119,7 @@ class TestMapRoundTrip:
 
 class TestFrontierRoundTrip:
     def test_csv(self):
-        from fnlab.fnmaps import Frontier
+        from fnlab import Frontier
 
         fr = Frontier(((1, 4), (2, 2), (4, 1)))
         text = ser.frontier_to_csv(fr)
@@ -127,7 +127,7 @@ class TestFrontierRoundTrip:
         assert ser.frontier_from_csv(text) == fr
 
     def test_partial_frontier_parses(self):
-        from fnlab.fnmaps import Frontier
+        from fnlab import Frontier
 
         assert ser.frontier_from_csv("1,5\n5,1\n# inconclusive: budget\n") == Frontier(
             ((1, 5), (5, 1))
@@ -455,8 +455,8 @@ class TestWriter:
             {"labels": [0, "1", 2.5, -3]},
             {"s": 'a"b\\c\n\u00e9\u2603\U0001f600\x00\x1f'},
             {"b": 1, "a": {"z": [], "y": {}}},
-            {2: "int keys", 10: None, -1: [True]},
-            {True: 0, False: 1},
+            {"\u00e9": "non-ASCII key", 'k"\\\n': None, "\u2603": [True]},
+            {"": 0, " ": 1},
             [{"p": 1}, {"p": 2}],
             [{"%": 1, '"': 2, "{": 3}, {"%": 4, '"': 5, "{": 6}],
             [{"a": 1}, {"b": 2}],
@@ -487,6 +487,11 @@ class TestWriter:
     def test_bad_key_refused_like_json(self):
         with pytest.raises(TypeError):
             ser.dumps({(1, 2): 0})
+
+    def test_non_str_key_refused(self):
+        # json.dumps would write the key as "2"; the writer takes str keys only
+        with pytest.raises(TypeError):
+            ser.dumps({2: 0})
 
 
 def test_pair_index_lists_match_bits_of():

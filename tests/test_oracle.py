@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from fnlab import FnPair, frontier, verify_pair, verify_single
 from fnlab.errors import InvalidArgument, SizeExceeded
-from fnlab.fnmaps import FnPair, frontier, verify_pair, verify_single
 from fnlab.gen import random_poset
 from fnlab.oracle import (
     LABELED_POSET_COUNTS,
@@ -20,7 +20,7 @@ from fnlab.oracle import (
     reference_valid_single,
 )
 from fnlab.poset import SubsetView, _poset_from_rows, antichain, bits_of, chain, diamond
-from helpers import random_total_map
+from helpers import random_total_map, sets_of
 
 # Unlabeled poset counts (OEIS A000112; Brinkmann & McKay 2002): one
 # canonical key per isomorphism class.
@@ -197,13 +197,11 @@ class TestReferenceVerifier:
         for trial in range(10_000):
             P = random_poset(rng.randint(1, 6), rng)
             pair = FnPair(P, random_total_map(P, rng), random_total_map(P, rng))
-            fsets = [pair.f_set(x) for x in range(P.n)]
-            gsets = [pair.g_set(x) for x in range(P.n)]
+            fsets, gsets = sets_of(pair.f), sets_of(pair.g)
             assert reference_valid_pair(P, fsets, gsets) == verify_pair(pair).valid
             if trial % 5 == 0:
                 h = random_total_map(P, rng)
-                hsets = [set(i for i in range(P.n) if h[x] >> i & 1) for x in range(P.n)]
-                assert reference_valid_single(P, hsets) == verify_single(P, h).valid
+                assert reference_valid_single(P, sets_of(h)) == verify_single(P, h).valid
 
 
 class TestBruteMinMax:

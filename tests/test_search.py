@@ -8,19 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnlab import FnPair, Frontier, feasible, frontier, search_pair, verify_pair
 from fnlab import serialize as ser
 from fnlab.cli import main
 from fnlab.errors import BudgetExceeded, InvalidArgument, SizeExceeded
-from fnlab.fnmaps import (
-    FnPair,
-    Frontier,
-    feasible,
-    frontier,
-    search_pair,
-    trivial_pair,
-    verify_pair,
-    wellorder_map,
-)
 from fnlab.fnmaps import search as search_module
 from fnlab.fnmaps.search import MAX_CANDIDATES
 from fnlab.gen import random_poset
@@ -32,6 +23,7 @@ from fnlab.oracle import (
     reference_valid_pair,
 )
 from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
+from helpers import sets_of
 
 # Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
 # model of the same problem, solved separately, gave the same points, except
@@ -394,10 +386,6 @@ class TestFrontier:
         for P in (chain(3), diamond()):
             assert frontier(P, workers=2) == frontier(P)
 
-    def test_dominates(self):
-        fr = Frontier(((1, 2), (2, 1)))
-        assert fr.dominates((2, 2)) and not fr.dominates((1, 1))
-
     @given(st.integers(0, 10**6), st.integers(1, 5))
     @settings(max_examples=25)
     def test_properties_and_oracle_match(self, seed, n):
@@ -458,9 +446,7 @@ class TestBeyondOracle:
             assert w is not None
             ca, cb = w.capacities()
             assert ca <= a and cb <= b
-            fs = [w.f_set(x) for x in range(P.n)]
-            gs = [w.g_set(x) for x in range(P.n)]
-            assert reference_valid_pair(P, fs, gs)
+            assert reference_valid_pair(P, sets_of(w.f), sets_of(w.g))
             if a > 1:
                 assert search_pair(P, (a - 1, b)) is None
             if b > 1:
@@ -468,7 +454,7 @@ class TestBeyondOracle:
 
     @pytest.mark.parametrize("seed", [*range(4), "chain"])
     def test_six_element_frontier_matches_oracle(self, seed):
-        # chain(6) builds the largest 6-element tensor the cell budget allows
+        # chain(6) builds the largest 6-element table the cell budget allows
         P = chain(6) if seed == "chain" else random_poset(6, random.Random(seed))
         assert frontier(P).points == brute_frontier(P, max_size=6)
 

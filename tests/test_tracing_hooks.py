@@ -6,9 +6,9 @@ import importlib
 from pathlib import Path
 
 import fnlab.cli as cli
-from fnlab import boolalg
+from fnlab import boolalg, trivial_pair
 from fnlab import serialize as ser
-from fnlab.fnmaps import transports, trivial_pair
+from fnlab.fnmaps import transports
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -3,6 +3,21 @@ import random
 
 import pytest
 
+from fnlab import (
+    FnPair,
+    cofactor_projections,
+    frontier,
+    interpolant_lookup,
+    search_pair,
+    transport_coproduct,
+    transport_exponential,
+    transport_retract,
+    transport_subalgebra,
+    trivial_pair,
+    verify_pair,
+    verify_single,
+    wellorder_map,
+)
 from fnlab.boolalg import (
     BooleanAlgebra,
     coproduct,
@@ -17,22 +32,7 @@ from fnlab.boolalg import (
     tree_algebra,
 )
 from fnlab.errors import InvalidArgument
-from fnlab.fnmaps import (
-    FnPair,
-    cofactor_projections,
-    frontier,
-    interpolant_lookup,
-    search_pair,
-    transport_coproduct,
-    transport_exponential,
-    transport_retract,
-    transport_subalgebra,
-    transports,
-    trivial_pair,
-    verify_pair,
-    verify_single,
-    wellorder_map,
-)
+from fnlab.fnmaps import transports
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.oracle import (
     brute_cofactor_minmax,
