@@ -17,7 +17,6 @@ witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import InvalidArgument
@@ -75,19 +74,24 @@ def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
 class FnPair:
     """A total pair of set-valued maps on a poset, stored as bitmask rows.
 
     ``f`` and ``g`` give each element a bitmask or an iterable of indices."""
 
-    poset: Poset
-    f: SetMap
-    g: SetMap
+    def __init__(self, poset: Poset, f: Iterable[object], g: Iterable[object]):
+        self.poset = poset
+        self.f = _coerce_map(poset, f, "f")
+        self.g = _coerce_map(poset, g, "g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", _coerce_map(self.poset, self.f, "f"))
-        object.__setattr__(self, "g", _coerce_map(self.poset, self.g, "g"))
+    def __eq__(self, other):
+        return isinstance(other, FnPair) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.poset, self.f, self.g))
+
+    def __repr__(self):
+        return f"FnPair(poset={self.poset!r}, f={self.f!r}, g={self.g!r})"
 
     def capacities(self) -> CapacityPair:
         a = max((m.bit_count() for m in self.f), default=0)
@@ -95,8 +99,7 @@ class FnPair:
         return CapacityPair(a, b)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a verification run.
 
     ``violation`` is the lexicographically least failing ``(p, q, clause)``

@@ -69,10 +69,10 @@ over it is refused with :class:`SizeExceeded` before any table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from ..errors import BudgetExceeded, SizeExceeded
 from ..poset import Poset, bits_of, check_count
@@ -278,8 +278,7 @@ def feasible(
     return _search(P, cap, node_budget, restart=True) is not None
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(NamedTuple):
     """Pareto-minimal feasible capacity pairs, sorted by first component.
 
     The point set is an antichain under componentwise order and is symmetric

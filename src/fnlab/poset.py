@@ -5,13 +5,12 @@ full reflexive-transitive closure, one bitmask row per element, so that
 ``leq`` queries, intervals (``up[p] & down[q]``) and down/up sets are O(1)
 word operations.  Every builder fills the up rows and their transpose, the
 down rows, side by side, and hands both to one validator.
-Labels are decorative only. All values are immutable after validation.
+Labels are decorative only. Values are never modified after construction:
+no method assigns an attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -75,18 +74,22 @@ def bits_of(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Poset:
-    """An immutable finite poset.
+    """A finite poset.
 
     ``up[x]`` is the bitmask of ``{y : x <= y}`` and ``down[x]`` the bitmask
-    of ``{y : y <= x}``; both include ``x``.
+    of ``{y : y <= x}``; both include ``x``.  ``labels`` take no part in
+    equality or hashing.
     """
 
-    n: int
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    def __init__(self, n: int, up: tuple[int, ...], down: tuple[int, ...], labels=None):
+        self.n, self.up, self.down, self.labels = n, up, down, labels
+
+    def __eq__(self, other):
+        return isinstance(other, Poset) and (self.up, self.down) == (other.up, other.down)
+
+    def __hash__(self):
+        return hash((self.n, self.up, self.down))
 
     def check_index(self, p: int) -> None:
         """Refuse an element index that is not a plain int (a bool, a float
@@ -278,15 +281,11 @@ def diamond() -> Poset:
     return poset_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-@dataclass(frozen=True)
 class MonotoneMap:
     """An order-preserving map between posets, validated at construction."""
 
-    dom: Poset
-    cod: Poset
-    image: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, dom: Poset, cod: Poset, image: tuple[int, ...]):
+        self.dom, self.cod, self.image = dom, cod, image
         if len(self.image) != self.dom.n:
             raise InvalidArgument("image must assign every element of the domain")
         for v in self.image:
@@ -300,6 +299,12 @@ class MonotoneMap:
                 for q in bits_of(self.dom.up[p]):
                     if not up[image[p]] >> image[q] & 1:
                         raise NotMonotone(p, q)
+
+    def __eq__(self, other):
+        return isinstance(other, MonotoneMap) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.image))
 
     def image_mask(self, mask: int) -> int:
         """Pointwise image of a domain bitmask, as a codomain bitmask."""
@@ -316,25 +321,23 @@ def check_retraction(i: MonotoneMap, j: MonotoneMap) -> bool:
     return all(j.image[i.image[p]] == p for p in range(i.dom.n))
 
 
-@dataclass(frozen=True)
 class SubsetView:
     """A subset of a poset's elements, inheriting the ambient order."""
 
-    ambient: Poset
-    members: frozenset[int]
-
-    def __post_init__(self):
+    def __init__(self, ambient: Poset, members: frozenset[int]):
+        self.ambient, self.members = ambient, members
         for p in self.members:
             self.ambient.check_index(p)
+        self.mask = mask_of(members)
+        # member -> local index, members ascending
+        self._pos = {e: i for i, e in enumerate(sorted(members))}
 
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(self.members)
+    def __eq__(self, other):
+        # mask and _pos follow from members
+        return isinstance(other, SubsetView) and vars(self) == vars(other)
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        """Member -> local index, members ascending."""
-        return {e: i for i, e in enumerate(sorted(self.members))}
+    def __hash__(self):
+        return hash((self.ambient, self.members))
 
     def local(self, mask: int) -> int:
         """The members in the ambient bitmask ``mask``, as a bitmask over

@@ -633,12 +633,13 @@ def run_child(args, prelude="pass", memory=None, timeout=60):
 
 
 def test_import_leaves_numpy_unloaded():
-    """Neither starting the CLI nor the oracle's tables import numpy.  Runs
-    in a fresh interpreter on the imported ``fnlab``."""
+    """Neither starting the CLI nor the oracle's tables import numpy, and
+    neither imports ``dataclasses``.  Runs in a fresh interpreter on the
+    imported ``fnlab``."""
     proc, _ = run_child([], prelude=(
         "import fnlab.cli; from fnlab.oracle import brute_frontier; from fnlab.poset import chain; "
         "assert brute_frontier(chain(5)) == ((1, 5), (2, 3), (3, 2), (5, 1)); "
-        "assert 'numpy' not in sys.modules; sys.exit(0)"
+        "assert 'numpy' not in sys.modules; assert 'dataclasses' not in sys.modules; sys.exit(0)"
     ))
     assert proc.returncode == 0, proc.stderr
 

@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 
 from fnlab import (
     FnPair,
+    Frontier,
+    MonotoneMap,
+    Poset,
+    SubsetView,
     Verdict,
     collapse,
     interpolant_lookup,
@@ -16,7 +20,7 @@ from fnlab import (
 )
 from fnlab.errors import InvalidArgument
 from fnlab.gen import random_poset, random_valid_pair
-from fnlab.poset import antichain, bits_of, chain, diamond
+from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
 from helpers import random_total_map, sets_of
 
 
@@ -285,3 +289,57 @@ class TestInterpolantLookup:
             InvalidArgument, match=r"^no witness in g\(0\) ∩ f\(1\) within \[0, 1\]$"
         ):
             interpolant_lookup(pair, 0, 1)
+
+
+def _chain2():
+    """A two-element chain, built afresh on each call."""
+    return poset_from_covers(2, [(0, 1)])
+
+
+RECORDS = [
+    pytest.param(lambda: Poset(2, (3, 2), (1, 3)), lambda: Poset(2, (3, 3), (1, 3)), id="Poset"),
+    pytest.param(
+        lambda: MonotoneMap(_chain2(), _chain2(), (0, 1)),
+        lambda: MonotoneMap(_chain2(), _chain2(), (0, 0)),
+        id="MonotoneMap",
+    ),
+    pytest.param(
+        lambda: SubsetView(_chain2(), frozenset({0})),
+        lambda: SubsetView(_chain2(), frozenset({1})),
+        id="SubsetView",
+    ),
+    pytest.param(
+        lambda: FnPair(_chain2(), [3, 3], [1, 2]),
+        lambda: FnPair(_chain2(), [3, 3], [3, 2]),
+        id="FnPair",
+    ),
+    pytest.param(lambda: Verdict(False, (0, 1, 1)), lambda: Verdict(False, (0, 1, 2)), id="Verdict"),
+    pytest.param(
+        lambda: Verdict(True, None, {(0, 1): (1, 0)}),
+        lambda: Verdict(True, None, {(0, 1): (1, 1)}),
+        id="Verdict-interpolants",
+    ),
+    pytest.param(lambda: Frontier(((1, 1),)), lambda: Frontier(((1, 2), (2, 1))), id="Frontier"),
+]
+
+
+@pytest.mark.parametrize("make, changed", RECORDS)
+def test_records_compare_and_hash_by_value(make, changed):
+    """Two records built from equal values are equal and hash equal; one
+    changed field makes them unequal.  A verdict that carries interpolants
+    holds a dict, so it is compared but not hashed."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    if not isinstance(a, Verdict) or a.interpolants is None:
+        assert hash(a) == hash(b)
+    assert a != changed() and not a == changed()
+
+
+def test_record_reprs():
+    P = chain(2)
+    assert repr(P) == "Poset(n=2, covers=[(0, 1)])"
+    assert repr(FnPair(P, [3, 2], [1, 2])) == (
+        "FnPair(poset=Poset(n=2, covers=[(0, 1)]), f=(3, 2), g=(1, 2))"
+    )
+    assert repr(Verdict(True)) == "Verdict(valid=True, violation=None, interpolants=None)"
+    assert repr(Frontier(((1, 1),))) == "Frontier(points=((1, 1),))"

@@ -30,6 +30,9 @@ class TestPosetRoundTrip:
         P = poset_from_covers(2, [(0, 1)], labels=["lo", "hi"])
         back = ser.poset_from_obj(ser.poset_to_obj(P))
         assert back.labels == ("lo", "hi")
+        # labels take no part in equality or hashing
+        plain = poset_from_covers(2, [(0, 1)])
+        assert back == plain and hash(back) == hash(plain)
 
     def test_parse_error(self):
         with pytest.raises(ParseError):
