@@ -8,9 +8,12 @@ be fast beyond desk scale.
 Feasibility does not depend on labels, so the feasibility tables are cached
 per isomorphism class: each is keyed on a canonical relabeling of the poset
 (:func:`_canonical_rows`) and the capacity, and the 4231 labeled 5-element
-posets need only 63 classes' tables per capacity.  The tables are sweeps
-over Python ints used as bitsets, so the oracle, like the rest of the
-package, needs nothing beyond the standard library.
+posets fall into only 63 classes.  :func:`brute_frontier` walks the rows
+``a = 1, 2, …`` as the search's frontier walk does and stops at the first
+row whose table is at most ``a``, since every frontier is its own mirror;
+:func:`brute_feasible` still reads the table of whatever row it is asked.
+The tables are sweeps over Python ints used as bitsets, so the oracle, like
+the rest of the package, needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -43,22 +46,6 @@ def reference_valid_pair(P: Poset, f, g) -> bool:
             if not any(r in f[p] and r in g[q] for r in between):
                 return False
             if not any(s in g[p] and s in f[q] for s in between):
-                return False
-    return True
-
-
-def reference_valid_single(P: Poset, h) -> bool:
-    """Naive single-map verifier over plain sets."""
-    h = [set(s) for s in h]
-    for p in range(P.n):
-        for q in range(P.n):
-            if not P.leq(p, q):
-                continue
-            if not any(
-                r in h[p] and r in h[q]
-                for r in range(P.n)
-                if P.leq(p, r) and P.leq(r, q)
-            ):
                 return False
     return True
 
@@ -227,20 +214,28 @@ def brute_feasible(P: Poset, cap: CapacityPair | tuple[int, int]) -> bool:
 
 
 def brute_frontier(P: Poset, max_size: int = ORACLE_MAX_ELEMENTS):
-    """Pareto-minimal feasible capacities straight from the boundary table."""
+    """Pareto-minimal feasible capacities, read off the boundary tables by
+    the row walk of :func:`fnlab.fnmaps.search.frontier`.
+
+    Row ``a``'s table is the least feasible ``b``, and ``(a, b)`` is kept
+    when ``b`` drops below the last kept ``b``.  Feasibility is symmetric
+    in the two capacities, so the walk stops at the first row whose table
+    is at most ``a``: every Pareto point past that row is the mirror of one
+    already kept.  The kept points and their mirrors are returned sorted.
+    """
     check_count(max_size, "oracle element cap")
     if P.n > max_size:
         raise SizeExceeded(f"oracle capped at {max_size} elements, got {P.n}")
     if P.n == 0:
         return ((1, 1),)
     rows = _canonical_rows(P)
-    betas = {a: _needed_g_table(rows, a) for a in range(1, P.n + 1)}
     points = []
-    prev = None
-    for a in sorted(betas):
-        if prev is None or betas[a] < prev:
-            points.append((a, betas[a]))
-        prev = betas[a]
+    for a in range(1, P.n + 1):
+        b = _needed_g_table(rows, a)
+        if not points or b < points[-1][1]:
+            points.append((a, b))
+        if b <= a:
+            break
     return tuple(sorted({(b, a) for a, b in points} | set(points)))
 
 

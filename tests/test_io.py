@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -357,6 +358,20 @@ class TestNestingDepth:
         obj = {"kind": "powerset", "atoms": 1}
         for _ in range(3000):
             obj = {"kind": "exponential", "base": obj}
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            ser.algebra_from_obj(obj)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda inner: {"kind": "exponential", "base": inner},
+        lambda inner: {"kind": "coproduct", "cofactors": [inner, {"kind": "powerset", "atoms": 1}]},
+    ], ids=["exponential", "coproduct"])
+    def test_algebra_nested_past_the_stack_refused(self, wrap):
+        """5000 levels built as Python objects, not parsed from text, so the
+        recursion that overflows is ``algebra_from_obj``'s own."""
+        assert sys.getrecursionlimit() < 5000
+        obj = {"kind": "powerset", "atoms": 1}
+        for _ in range(5000):
+            obj = wrap(obj)
         with pytest.raises(ParseError, match="^JSON nested too deeply$"):
             ser.algebra_from_obj(obj)
 

@@ -17,7 +17,6 @@ from fnlab.oracle import (
     brute_pair_product_feasible,
     enumerate_posets,
     reference_valid_pair,
-    reference_valid_single,
 )
 from fnlab.poset import SubsetView, _poset_from_rows, antichain, bits_of, chain, diamond
 from helpers import random_total_map, sets_of
@@ -109,6 +108,48 @@ class TestBruteFrontier:
         with pytest.raises(SizeExceeded):
             brute_frontier(chain(6))
 
+    def test_walk_matches_full_table_sweep(self):
+        """The walk gives the frontier that every row's table gives: the
+        rows where the table drops, and their mirrors."""
+
+        def swept(P):
+            if P.n == 0:
+                return ((1, 1),)
+            rows = _canonical_rows(P)
+            betas = [_needed_g_table(rows, a) for a in range(1, P.n + 1)]
+            drops = {(a, b) for a, b in enumerate(betas, 1) if a == 1 or b < betas[a - 2]}
+            return tuple(sorted(drops | {(b, a) for a, b in drops}))
+
+        for n in range(6):
+            for P in enumerate_posets(n):
+                assert brute_frontier(P) == swept(P)
+        rng = random.Random(0x7AB1E)
+        for P in [chain(6), *(random_poset(6, rng) for _ in range(24))]:
+            assert brute_frontier(P, max_size=6) == swept(P)
+
+    def test_walk_stops_at_the_diagonal(self, monkeypatch):
+        """No table is asked for past the first row ``a`` whose table is at
+        most ``a``, and every row up to it is asked for once."""
+        asked = []
+
+        def spy(rows, a):
+            asked.append(a)
+            return _needed_g_table(rows, a)
+
+        monkeypatch.setattr("fnlab.oracle._needed_g_table", spy)
+        rng = random.Random(0xD1A6)
+        for P in [*enumerate_posets(4), *(random_poset(5, rng) for _ in range(40)), antichain(5)]:
+            asked.clear()
+            brute_frontier(P)
+            key = _canonical_rows(P)
+            stop = next(a for a in range(1, P.n + 1) if _needed_g_table(key, a) <= a)
+            assert asked == list(range(1, stop + 1))
+
+    def test_seven_elements_refused_only_past_row_two(self):
+        # the walk of an antichain stops at row 1, before any table the
+        # cell budget refuses; a 7-chain's walk reaches row 3 (test_cell_budget)
+        assert brute_frontier(antichain(7), max_size=7) == ((1, 1),)
+
     @pytest.mark.parametrize("cap, message", [
         ("6", "oracle element cap '6' is not an integer"),
         (True, "oracle element cap True is not an integer"),
@@ -185,10 +226,16 @@ class TestCanonicalForm:
         assert h.hexdigest() == "7c0ba66f7406983330421c01e680548090fd7aa143bbcc69e02aac6200b30d16"
 
     def test_sweep_builds_one_table_per_class_and_capacity(self):
+        """One table per class and walked row: rows 1, 2, … up to the first
+        whose table is at most its row."""
         _needed_g_table.cache_clear()
         for P in enumerate_posets(5):
             brute_frontier(P)
-        assert _needed_g_table.cache_info().currsize == UNLABELED_POSET_COUNTS[5] * 5
+        built = _needed_g_table.cache_info().currsize
+        keys = {_canonical_rows(P) for P in enumerate_posets(5)}
+        walked = sum(next(a for a in range(1, 6) if _needed_g_table(key, a) <= a) for key in keys)
+        assert len(keys) == UNLABELED_POSET_COUNTS[5]
+        assert built == walked == 143
 
 
 class TestReferenceVerifier:
@@ -201,7 +248,8 @@ class TestReferenceVerifier:
             assert reference_valid_pair(P, fsets, gsets) == verify_pair(pair).valid
             if trial % 5 == 0:
                 h = random_total_map(P, rng)
-                assert reference_valid_single(P, sets_of(h)) == verify_single(P, h).valid
+                hs = sets_of(h)
+                assert reference_valid_pair(P, hs, hs) == verify_single(P, h).valid
 
 
 class TestBruteMinMax:

@@ -31,7 +31,7 @@ from fnlab.boolalg import (
     subalgebra_masks,
     tree_algebra,
 )
-from fnlab.errors import InvalidArgument
+from fnlab.errors import InvalidArgument, TransportDefect
 from fnlab.fnmaps import transports
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.oracle import (
@@ -305,6 +305,21 @@ class TestExponentialTransport:
         A = generated_subalgebra(powerset_algebra(3), [0b011])
         out = transport_exponential(exponential(A), trivial_pair(A.as_poset()))
         assert out.poset.n == 8 and verify_pair(out).valid
+
+
+@pytest.mark.parametrize("transport", [
+    lambda B: transport_coproduct(coproduct([B, B]), [trivial_pair(B.as_poset())] * 2),
+    lambda B: transport_exponential(exponential(B), trivial_pair(B.as_poset())),
+], ids=["coproduct", "exponential"])
+def test_defective_construction_raises_transport_defect(monkeypatch, transport):
+    """An output that fails its own check is a defect of the construction,
+    not an invalid input: with every image emptied, the output breaks
+    clause 1 at ``(0, 0)``."""
+    monkeypatch.setattr(transports, "subalgebra_index_mask", lambda *args: 0)
+    with pytest.raises(TransportDefect) as e:
+        transport(powerset_algebra(2))
+    assert not e.value.verdict.valid
+    assert e.value.verdict.violation == (0, 0, 1)
 
 
 def _scanned_bracket(E, a):
