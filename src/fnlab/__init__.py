@@ -23,7 +23,6 @@ from .boolalg import (
 )
 from .errors import FnLabError
 from .fnmaps.core import (
-    CapacityPair,
     FnPair,
     Verdict,
     collapse,

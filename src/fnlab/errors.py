@@ -1,10 +1,12 @@
 """Exception types shared across the package.
 
 Every refused argument is an ``InvalidArgument`` whose message names the
-fault. The classes that carry witness data as attributes, so callers can
-render diagnostics without parsing messages, are the order-axiom failures
-``NotReflexive``, ``NotAntisymmetric`` and ``NotTransitive``, and
-``NotMonotone``, ``BudgetExceeded``, ``TransportDefect`` and ``ParseError``.
+fault and its witness. A class of its own, or data beyond the message, is
+kept only where a caller reads it: the CLI maps ``SizeExceeded`` to exit 3
+and prints its ``partial`` frontier, prints ``TransportDefect.verdict`` and
+exits 4, and sends ``ParseError`` to exit 2 with the line and column in the
+message; the benchmark harness tells ``BudgetExceeded`` apart from other
+failures, and the search tests log ``BudgetExceeded.nodes`` as a witness.
 """
 
 
@@ -16,29 +18,12 @@ class InvalidArgument(FnLabError, ValueError):
     """An argument outside the hypotheses of a library function: a size,
     count, capacity or budget that is not a plain int or is below its least
     value, a generator outside the algebra, a map that is not total, a pair
-    that is not valid or not on the cofactor's order, a map that is not a
+    that is not valid or not on the cofactor's order, a relation that is not
+    a partial order, a map that is not order-preserving, a map that is not a
     retraction, a degenerate cofactor, an index (of an element, a cover-edge
     end or a cofactor) that is not a plain int or lies outside its bound, a
     cofactor, base or ambient that is not a plain algebra, or an empty
     view."""
-
-
-class NotReflexive(FnLabError):
-    def __init__(self, x: int):
-        self.x = x
-        super().__init__(f"relation is not reflexive at element {x}")
-
-
-class NotAntisymmetric(FnLabError):
-    def __init__(self, x: int, y: int):
-        self.x, self.y = x, y
-        super().__init__(f"relation is not antisymmetric: {x} <= {y} and {y} <= {x}")
-
-
-class NotTransitive(FnLabError):
-    def __init__(self, x: int, y: int, z: int):
-        self.x, self.y, self.z = x, y, z
-        super().__init__(f"relation is not transitive: {x} <= {y} <= {z} but not {x} <= {z}")
 
 
 class SizeExceeded(FnLabError):
@@ -60,12 +45,6 @@ class BudgetExceeded(SizeExceeded):
     def __init__(self, nodes: int, budget: int):
         self.nodes, self.budget = nodes, budget
         super().__init__(f"node budget exhausted ({nodes} nodes, budget {budget})")
-
-
-class NotMonotone(FnLabError):
-    def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
-        super().__init__(f"map is not order-preserving at {p} <= {q}")
 
 
 class TransportDefect(FnLabError):

@@ -25,27 +25,17 @@ from ..poset import Poset, bits_of, check_count, mask_of
 SetMap = tuple[int, ...]  # one bitmask per poset element
 
 
-class CapacityPair(NamedTuple):
-    """Inclusive bounds on the image sizes of ``f`` and ``g``.
-
-    Any feasible pair has ``a, b >= 1`` since every valid pair satisfies
-    ``x in f(x) ∩ g(x)``.
-    """
-
-    a: int
-    b: int
-
-
-def check_capacities(cap) -> CapacityPair:
+def check_capacities(cap) -> tuple[int, int]:
     """``cap``, any two-item iterable of plain ints of at least 1, as a
-    :class:`CapacityPair`."""
+    tuple ``(a, b)``: inclusive bounds on the image sizes of ``f`` and ``g``,
+    at least 1 since every valid pair has ``x in f(x) ∩ g(x)``."""
     try:
         a, b = cap
     except (TypeError, ValueError):
         raise InvalidArgument(f"capacities {cap!r} are not a pair (a, b)") from None
     check_count(a, "capacity a", 1)
     check_count(b, "capacity b", 1)
-    return CapacityPair(a, b)
+    return a, b
 
 
 def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:
@@ -93,10 +83,10 @@ class FnPair:
     def __repr__(self):
         return f"FnPair(poset={self.poset!r}, f={self.f!r}, g={self.g!r})"
 
-    def capacities(self) -> CapacityPair:
+    def capacities(self) -> tuple[int, int]:
         a = max((m.bit_count() for m in self.f), default=0)
         b = max((m.bit_count() for m in self.g), default=0)
-        return CapacityPair(a, b)
+        return a, b
 
 
 class Verdict(NamedTuple):

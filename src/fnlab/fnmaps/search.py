@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 from ..errors import BudgetExceeded, SizeExceeded
 from ..poset import Poset, bits_of, check_count
-from .core import CapacityPair, FnPair, check_capacities
+from .core import FnPair, check_capacities
 
 DEFAULT_NODE_BUDGET = 10**8
 # candidates per map summed over its slots, n * C(n - 1, size - 1): every
@@ -189,7 +189,7 @@ def _propagation(P: Poset, sizes: tuple[int, int]):
 
 
 def _search(
-    P: Poset, cap: CapacityPair | tuple[int, int], node_budget: int, restart: bool
+    P: Poset, cap: tuple[int, int], node_budget: int, restart: bool
 ) -> list[int] | None:
     """The images of a valid pair within ``cap``, slot by slot, or None.
     With ``restart`` a query still open after ``_RESTART_NODES`` nodes starts
@@ -252,7 +252,7 @@ def _search(
 
 def search_pair(
     P: Poset,
-    cap: CapacityPair | tuple[int, int],
+    cap: tuple[int, int],
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> FnPair | None:
     """Find a valid pair with ``|f(x)| <= a`` and ``|g(x)| <= b``, or prove
@@ -269,7 +269,7 @@ def search_pair(
 
 def feasible(
     P: Poset,
-    cap: CapacityPair | tuple[int, int],
+    cap: tuple[int, int],
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """Whether a valid pair within ``cap`` exists, refused as

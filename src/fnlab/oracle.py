@@ -23,7 +23,7 @@ from itertools import combinations, groupby, permutations, product
 
 from .boolalg import CoproductAlgebra
 from .errors import SizeExceeded
-from .fnmaps.core import CapacityPair, check_capacities
+from .fnmaps.core import check_capacities
 from .poset import Poset, SubsetView, _poset_from_rows, bits_of, check_count, check_poset_size
 
 ORACLE_MAX_ELEMENTS = 5
@@ -203,7 +203,7 @@ def _needed_g_table(rows: tuple[int, ...], a: int) -> int:
     return next(b for b in range(1, n + 1) if meets[b])
 
 
-def brute_feasible(P: Poset, cap: CapacityPair | tuple[int, int]) -> bool:
+def brute_feasible(P: Poset, cap: tuple[int, int]) -> bool:
     """Exhaustive feasibility decision for capacities ``(a, b)``."""
     a, b = check_capacities(cap)
     if P.n > ORACLE_MAX_ELEMENTS:

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Sequence
 
-from .errors import (
-    InvalidArgument,
-    NotAntisymmetric,
-    NotMonotone,
-    NotReflexive,
-    NotTransitive,
-    SizeExceeded,
-)
+from .errors import InvalidArgument, SizeExceeded
 
 MAX_ELEMENTS = 4096
 
@@ -176,13 +169,14 @@ def _poset_from_rows(n: int, up: Sequence[int], down: Sequence[int], labels=None
     check_poset_size(n)
     for x in range(n):
         if not up[x] >> x & 1:
-            raise NotReflexive(x)
+            raise InvalidArgument(f"relation is not reflexive at element {x}")
     # the least x in a cycle pairs with the least y on both sides of it: a
     # partner below x would have been caught at that partner
     for x in range(n):
         both = up[x] & down[x] & ~(1 << x)
         if both:
-            raise NotAntisymmetric(x, (both & -both).bit_length() - 1)
+            y = (both & -both).bit_length() - 1
+            raise InvalidArgument(f"relation is not antisymmetric: {x} <= {y} and {y} <= {x}")
     # a reflexive antisymmetric relation is transitive exactly when the
     # elimination rejoins every row: a triple x <= y <= z with z missing
     # from row x passes to a smaller row visited above x, until one fails
@@ -192,7 +186,10 @@ def _poset_from_rows(n: int, up: Sequence[int], down: Sequence[int], labels=None
             for y in bits_of(up[x]):
                 missing = up[y] & ~up[x]
                 if missing:
-                    raise NotTransitive(x, y, (missing & -missing).bit_length() - 1)
+                    z = (missing & -missing).bit_length() - 1
+                    raise InvalidArgument(
+                        f"relation is not transitive: {x} <= {y} <= {z} but not {x} <= {z}"
+                    )
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
@@ -298,7 +295,7 @@ class MonotoneMap:
             for p in range(self.dom.n):
                 for q in bits_of(self.dom.up[p]):
                     if not up[image[p]] >> image[q] & 1:
-                        raise NotMonotone(p, q)
+                        raise InvalidArgument(f"map is not order-preserving at {p} <= {q}")
 
     def __eq__(self, other):
         return isinstance(other, MonotoneMap) and vars(self) == vars(other)

@@ -239,6 +239,10 @@ class TestGeneratedSubalgebra:
         got = set(generated_subalgebra(powerset_algebra(k), gens).carrier)
         assert got == fixpoint_subalgebra(k, gens)
 
+    def test_fixpoint_oracle_cap(self):
+        with pytest.raises(SizeExceeded, match="^fixpoint closure exceeded cap$"):
+            fixpoint_subalgebra(17, [1 << i for i in range(17)])
+
     def test_carrier_validation(self):
         with pytest.raises(ValueError):
             BooleanAlgebra(2, carrier=[0, 1, 3])  # missing complement of 1

@@ -18,6 +18,7 @@ from fnlab import (
     verify_single,
     wellorder_map,
 )
+from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.errors import InvalidArgument
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
@@ -343,3 +344,7 @@ def test_record_reprs():
     )
     assert repr(Verdict(True)) == "Verdict(valid=True, violation=None, interpolants=None)"
     assert repr(Frontier(((1, 1),))) == "Frontier(points=((1, 1),))"
+    assert repr(coproduct([powerset_algebra(1), powerset_algebra(2)])) == (
+        "CoproductAlgebra(cofactor_atoms=[1, 2])"
+    )
+    assert repr(exponential(powerset_algebra(2))) == "ExponentialAlgebra(base_size=4, points=3)"

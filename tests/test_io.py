@@ -511,6 +511,10 @@ class TestWriter:
         with pytest.raises(TypeError):
             ser.dumps({2: 0})
 
+    def test_non_algebra_refused(self):
+        with pytest.raises(TypeError, match="^cannot serialize Poset$"):
+            ser.algebra_to_obj(chain(2))
+
 
 def test_pair_index_lists_match_bits_of():
     n = 512

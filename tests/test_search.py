@@ -13,6 +13,7 @@ from fnlab import serialize as ser
 from fnlab.cli import main
 from fnlab.errors import BudgetExceeded, InvalidArgument, SizeExceeded
 from fnlab.fnmaps import search as search_module
+from fnlab.fnmaps.core import check_capacities
 from fnlab.fnmaps.search import MAX_CANDIDATES
 from fnlab.gen import random_poset
 from fnlab.boolalg import powerset_algebra
@@ -94,6 +95,12 @@ class TestSearchPair:
             feasible(chain(3), cap)
         with pytest.raises(InvalidArgument):
             brute_feasible(chain(3), cap)
+
+    def test_capacities_are_a_plain_tuple(self):
+        cap = check_capacities([2, 3])
+        assert type(cap) is tuple and cap == (2, 3)
+        got = FnPair(chain(2), [{0, 1}, {1}], [{0}, {1}]).capacities()
+        assert type(got) is tuple and got == (2, 1)
 
     @pytest.mark.parametrize("budget", [2.5, "2", True, 10.0**6])
     def test_node_budget_must_be_a_plain_int(self, budget):

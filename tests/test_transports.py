@@ -50,6 +50,7 @@ from fnlab.poset import (
     diamond,
     poset_from_covers,
     subposet_degree,
+    validate_poset,
 )
 from helpers import identity_map, random_retraction, random_subset_view
 
@@ -535,6 +536,12 @@ def _refusals():
         (lambda: c3.leq(0.5, 1), "element 0.5 is not an integer"),
         (lambda: c3.leq(5, 0), "element 5 is not below 3"),
         (lambda: c3.leq(-1, 0), "element -1 is below 0"),
+        (lambda: validate_poset([[0]]), "relation is not reflexive at element 0"),
+        (lambda: validate_poset([[1, 1], [1, 1]]),
+         "relation is not antisymmetric: 0 <= 1 and 1 <= 0"),
+        (lambda: validate_poset([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+         "relation is not transitive: 0 <= 1 <= 2 but not 0 <= 2"),
+        (lambda: MonotoneMap(c2, c2, (1, 0)), "map is not order-preserving at 0 <= 1"),
         (lambda: poset_from_covers(2, [(0, 5)]), "cover edge end 5 is not below 2"),
         (lambda: poset_from_covers(2, [(0.0, 1)]), "cover edge end 0.0 is not an integer"),
         (lambda: P2.element_mask(-1), "element index -1 is below 0"),
