@@ -52,7 +52,6 @@ from .poset import (
     diamond,
     poset_from_covers,
     subposet_degree,
-    validate_poset,
 )
 
 __version__ = "0.1.0"

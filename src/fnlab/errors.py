@@ -18,8 +18,8 @@ class InvalidArgument(FnLabError, ValueError):
     """An argument outside the hypotheses of a library function: a size,
     count, capacity or budget that is not a plain int or is below its least
     value, a generator outside the algebra, a map that is not total, a pair
-    that is not valid or not on the cofactor's order, a relation that is not
-    a partial order, a map that is not order-preserving, a map that is not a
+    that is not valid or not on the cofactor's order, a cover list with a
+    cycle, a map that is not order-preserving, a map that is not a
     retraction, a degenerate cofactor, an index (of an element, a cover-edge
     end or a cofactor) that is not a plain int or lies outside its bound, a
     cofactor, base or ambient that is not a plain algebra, or an empty

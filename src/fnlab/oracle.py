@@ -60,8 +60,9 @@ def enumerate_posets(n: int):
     ``{h, lo, hi}`` with ``h < lo``: those triples are checked for
     transitivity on the up and down masks as soon as it is set, and a
     failing branch is cut.  Each relation that survives is transitive and
-    is validated once more by :func:`_poset_from_rows`, on the up and down
-    rows the walk keeps.  Enumeration is labeled, not up-to-isomorphism.
+    is checked once more for size and a cycle by :func:`_poset_from_rows`,
+    on the up and down rows the walk keeps.  Enumeration is labeled, not
+    up-to-isomorphism.
     """
     check_poset_size(n)
     if n > ORACLE_MAX_ELEMENTS:

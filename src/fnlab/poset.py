@@ -4,7 +4,8 @@ Elements are dense integer indices ``0..n-1``; the relation is stored as the
 full reflexive-transitive closure, one bitmask row per element, so that
 ``leq`` queries, intervals (``up[p] & down[q]``) and down/up sets are O(1)
 word operations.  Every builder fills the up rows and their transpose, the
-down rows, side by side, and hands both to one validator.
+down rows, side by side, from a cover list or the oracle's walk, and hands
+both to one check for size and a cycle.
 Labels are decorative only. Values are never modified after construction:
 no method assigns an attribute.
 """
@@ -101,75 +102,37 @@ class Poset:
         """Hasse edges ``(p, q)`` with ``p < q`` and nothing strictly between."""
         out = []
         for p in range(self.n):
-            out.extend((p, q) for q in bits_of(_eliminate(self.up, p)[0]))
+            out.extend((p, q) for q in bits_of(_eliminate(self.up, p)))
         return out
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"
 
 
-def validate_poset(
-    matrix: Sequence[Sequence[object]], labels: Sequence[str] | None = None
-) -> Poset:
-    """Validate a square boolean relation matrix and build a :class:`Poset`.
-
-    Axioms are checked in order (reflexive, antisymmetric, transitive) and
-    the first violation is raised with its witness elements.  One scan of
-    the matrix fills both the up and the down rows.
-    """
-    if not hasattr(matrix, "__len__"):
-        raise InvalidArgument("relation matrix must be a sequence of rows")
-    n = len(matrix)
-    check_poset_size(n)
-    up = []
-    down = [0] * n
-    for x, row in enumerate(matrix):
-        if not hasattr(row, "__len__") or len(row) != n:
-            raise InvalidArgument("relation matrix must be square")
-        m = 0
-        for y, v in enumerate(row):
-            if v:
-                m |= 1 << y
-                down[y] |= 1 << x
-        up.append(m)
-    return _poset_from_rows(n, up, down, labels)
-
-
-def _eliminate(rows: Sequence[int], p: int) -> tuple[int, int]:
+def _eliminate(rows: Sequence[int], p: int) -> int:
     """Walk the elements strictly above ``p`` in ascending order; each one
     still left drops everything strictly above itself.
 
-    Returns the mask of what is left and the join of ``1 << p`` with the
-    row of every element the walk visited.  On a poset no cover is ever
-    dropped, so what is left is exactly the covers of ``p``, and every
-    element above ``p`` is visited or lies in the row of one that was, so
-    the join is ``rows[p]``.
+    On a poset no cover is ever dropped, so what is left is exactly the
+    covers of ``p``.
     """
     above = rest = rows[p] & ~(1 << p)
-    joined = 1 << p
     while rest:
         low = rest & -rest
         row = rows[low.bit_length() - 1]
-        joined |= row
         above &= ~row | low
         rest = above & -(low << 1)
-    return above, joined
+    return above
 
 
 def _poset_from_rows(n: int, up: Sequence[int], down: Sequence[int], labels=None) -> Poset:
-    """The one validator: check up rows reflexive, antisymmetric and
-    transitive, in that order, raise the first failure with its witness,
-    and build the :class:`Poset`.
+    """Check the size, a cycle and the labels, and build the :class:`Poset`.
 
-    Each caller builds ``down``, the transpose of ``up``, where it builds
-    ``up``.  Transitivity is checked by rejoining each row through the
-    :meth:`Poset.covers` elimination; every comparable pair is scanned only
-    when a row fails to rejoin, to name the first failing triple.
+    Each caller builds reflexive, transitive up rows and ``down``, their
+    transpose, side by side, so the one fault left to find is a cycle: it
+    is raised as an antisymmetry failure with its witness.
     """
     check_poset_size(n)
-    for x in range(n):
-        if not up[x] >> x & 1:
-            raise InvalidArgument(f"relation is not reflexive at element {x}")
     # the least x in a cycle pairs with the least y on both sides of it: a
     # partner below x would have been caught at that partner
     for x in range(n):
@@ -177,19 +140,6 @@ def _poset_from_rows(n: int, up: Sequence[int], down: Sequence[int], labels=None
         if both:
             y = (both & -both).bit_length() - 1
             raise InvalidArgument(f"relation is not antisymmetric: {x} <= {y} and {y} <= {x}")
-    # a reflexive antisymmetric relation is transitive exactly when the
-    # elimination rejoins every row: a triple x <= y <= z with z missing
-    # from row x passes to a smaller row visited above x, until one fails
-    # to rejoin. The pairwise scan then names the first triple.
-    if any(_eliminate(up, x)[1] != up[x] for x in range(n)):
-        for x in range(n):
-            for y in bits_of(up[x]):
-                missing = up[y] & ~up[x]
-                if missing:
-                    z = (missing & -missing).bit_length() - 1
-                    raise InvalidArgument(
-                        f"relation is not transitive: {x} <= {y} <= {z} but not {x} <= {z}"
-                    )
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
@@ -242,7 +192,7 @@ def poset_from_covers(
 ) -> Poset:
     """Build a poset from Hasse/cover edges ``lo < hi``.
 
-    The reflexive-transitive closure is computed first and then validated,
+    The reflexive-transitive closure is computed first and then checked,
     so a cyclic edge list is reported as an antisymmetry failure.  The up
     rows close the edges and the down rows the reversed edges, each by
     :func:`_reach`.

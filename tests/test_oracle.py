@@ -42,11 +42,24 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_posets(n)) == LABELED_POSET_COUNTS[n]
 
     def test_all_emitted_are_posets(self):
-        seen = set()
-        for P in enumerate_posets(3):
-            seen.add(P.up)
-            assert P.n == 3
-        assert len(seen) == 19
+        """For every n <= 5, each emitted relation is distinct and, by a
+        pairwise scan, reflexive, antisymmetric and transitive, with
+        ``down`` its transpose."""
+        for n in range(6):
+            seen = set()
+            for P in enumerate_posets(n):
+                seen.add(P.up)
+                assert P.n == n
+                for x in range(n):
+                    assert P.up[x] >> x & 1
+                    for y in bits_of(P.up[x] & ~(1 << x)):
+                        assert not P.up[y] >> x & 1
+                    for y in bits_of(P.up[x]):
+                        assert not P.up[y] & ~P.up[x]
+                assert P.down == tuple(
+                    sum(1 << x for x in range(n) if P.up[x] >> y & 1) for y in range(n)
+                )
+            assert len(seen) == LABELED_POSET_COUNTS[n]
 
     def test_order_frozen(self):
         """The enumeration order and rows, frozen: the benchmark samples

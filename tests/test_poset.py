@@ -25,27 +25,8 @@ from fnlab.poset import (
     _poset_from_rows,
     poset_from_covers,
     subposet_degree,
-    validate_poset,
 )
 from helpers import identity_map
-
-
-def naive_axiom_check(matrix):
-    """Triple-loop reference for the three poset axioms."""
-    n = len(matrix)
-    for x in range(n):
-        if not matrix[x][x]:
-            return False
-    for x in range(n):
-        for y in range(n):
-            if x != y and matrix[x][y] and matrix[y][x]:
-                return False
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if matrix[x][y] and matrix[y][z] and not matrix[x][z]:
-                    return False
-    return True
 
 
 def fixpoint_closure(n, covers):
@@ -125,18 +106,12 @@ def built_order(build, *args):
     return P.up, P.down, P.covers()
 
 
-def check_against_references(n, pairs, diagonal):
-    """A cover list and a relation matrix over the same pairs (the matrix
-    keeps the diagonal where ``diagonal`` says) build what the references
-    build, or fail the same way."""
+def check_against_references(n, pairs):
+    """A cover list builds what the references build, or fails the same
+    way."""
     assert built_order(poset_from_covers, n, pairs) == reference_order(
         n, fixpoint_closure(n, pairs)
     )
-    rows = [diagonal[x] << x for x in range(n)]
-    for lo, hi in pairs:
-        rows[lo] |= 1 << hi
-    matrix = [[rows[x] >> y & 1 for y in range(n)] for x in range(n)]
-    assert built_order(validate_poset, matrix) == reference_order(n, rows)
 
 
 class TestAgainstReferences:
@@ -149,8 +124,7 @@ class TestAgainstReferences:
             n = rng.randint(0, 7)
             # up to 2n random edges: cycles and self-loops included
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-            diagonal = [int(rng.random() < 0.97) for _ in range(n)]
-            check_against_references(n, pairs, diagonal)
+            check_against_references(n, pairs)
 
     def test_random_posets(self):
         rng = random.Random(15)
@@ -162,8 +136,8 @@ class TestAgainstReferences:
 
     def test_relabeled_and_cyclic_sweep(self):
         """Up to 12 elements on orders whose index order is not a linear
-        extension: their whole relation, some of its pairs dropped (not
-        transitive as a matrix), or one pair reversed (a cycle)."""
+        extension: their whole relation, some of its pairs dropped, or one
+        pair reversed (a cycle)."""
         rng = random.Random(16)
         for _ in range(800):
             n = rng.randint(0, 12)
@@ -175,15 +149,13 @@ class TestAgainstReferences:
             elif kind == 2 and pairs:
                 pairs.append(rng.choice(pairs)[::-1])
             rng.shuffle(pairs)
-            diagonal = [int(rng.random() < 0.97) for _ in range(n)]
-            check_against_references(n, pairs, diagonal)
+            check_against_references(n, pairs)
 
     @given(
         st.integers(1, 7).flatmap(
             lambda n: st.tuples(
                 st.just(n),
                 st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14),
-                st.lists(st.sampled_from((1, 1, 1, 0)), min_size=n, max_size=n),
             )
         )
     )
@@ -235,58 +207,21 @@ class TestTranspose:
 
 
 class TestValidate:
-    def test_antichain_identity_matrix(self):
-        P = validate_poset([[1, 0], [0, 1]])
-        assert P.n == 2 and not P.leq(0, 1) and not P.leq(1, 0)
-
-    def test_chain_upper_triangular(self):
-        P = validate_poset([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        assert P.leq(0, 2) and P.leq(1, 2) and not P.leq(2, 0)
-
     def test_two_cycle_rejected(self):
         with pytest.raises(
             InvalidArgument, match="^relation is not antisymmetric: 0 <= 1 and 1 <= 0$"
         ):
-            validate_poset([[1, 1], [1, 1]])
-
-    def test_missing_diagonal(self):
-        with pytest.raises(InvalidArgument, match="^relation is not reflexive at element 0$"):
-            validate_poset([[0]])
-
-    def test_transitivity_witness(self):
-        with pytest.raises(
-            InvalidArgument, match="^relation is not transitive: 0 <= 1 <= 2 but not 0 <= 2$"
-        ):
-            validate_poset([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            validate_poset([[1, 0]])
+            poset_from_covers(2, [(0, 1), (1, 0)])
 
     def test_size_cap(self):
-        row = [0] * (MAX_ELEMENTS + 1)
         with pytest.raises(SizeExceeded):
-            validate_poset([row] * (MAX_ELEMENTS + 1))
+            poset_from_covers(MAX_ELEMENTS + 1, [])
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             _poset_from_rows(-1, [], [])
         with pytest.raises(ValueError):
             poset_from_covers(-1, [])
-
-    @given(st.integers(0, 10**6), st.integers(1, 5))
-    def test_agrees_with_naive_reference(self, seed, n):
-        rng = random.Random(seed)
-        matrix = [[int(rng.random() < 0.7) for _ in range(n)] for _ in range(n)]
-        for d in range(n):
-            if rng.random() < 0.9:
-                matrix[d][d] = 1
-        ok = naive_axiom_check(matrix)
-        try:
-            validate_poset(matrix)
-            assert ok
-        except InvalidArgument:
-            assert not ok
 
     def test_closure_is_word_parallel(self):
         covers = powerset_algebra(12).as_poset().covers()
@@ -361,8 +296,6 @@ class TestPlainIntIndices:
             (lambda: poset_from_covers(2, [(0, 1, 2)]),
              "cover edge (0, 1, 2) is not a pair of integer indices"),
             (lambda: poset_from_covers(2, [5]), "cover edge 5 is not a pair of integer indices"),
-            (lambda: validate_poset(5), "relation matrix must be a sequence of rows"),
-            (lambda: validate_poset([5]), "relation matrix must be square"),
         ],
     )
     def test_malformed_cover_or_matrix_refused(self, call, message):
