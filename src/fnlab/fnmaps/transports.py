@@ -16,7 +16,7 @@ from ..boolalg import (
     subalgebra_masks,
 )
 from ..errors import InvalidArgument, TransportDefect
-from ..poset import MonotoneMap, SubsetView, _extremal_in, bits_of, check_retraction
+from ..poset import MonotoneMap, SubsetView, _eliminate, bits_of, check_retraction
 from .core import FnPair, verify_pair
 
 
@@ -68,7 +68,7 @@ def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int
     _require_valid(pair, "subalgebra input")
     induced, elems = A.as_poset()
     # each trace L_q in local indices, converted once
-    L = [A.local(_extremal_in(Q.up, A.mask & Q.down[q])) for q in range(Q.n)]
+    L = [A.local(_eliminate(Q.down, A.mask & Q.down[q])) for q in range(Q.n)]
 
     def lift(image: int) -> int:
         out = 0

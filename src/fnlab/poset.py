@@ -102,21 +102,25 @@ class Poset:
         """Hasse edges ``(p, q)`` with ``p < q`` and nothing strictly between."""
         out = []
         for p in range(self.n):
-            out.extend((p, q) for q in bits_of(_eliminate(self.up, p)))
+            out.extend((p, q) for q in bits_of(_eliminate(self.up, self.up[p] & ~(1 << p))))
         return out
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"
 
 
-def _eliminate(rows: Sequence[int], p: int) -> int:
-    """Walk the elements strictly above ``p`` in ascending order; each one
-    still left drops everything strictly above itself.
+def _eliminate(rows: Sequence[int], mask: int) -> int:
+    """The minimal elements of ``mask`` for up rows, the maximal for down
+    rows.
 
-    On a poset no cover is ever dropped, so what is left is exactly the
-    covers of ``p``.
+    Walk the elements of ``mask`` still left in ascending order; each one
+    drops every other element its row holds.  An extremal element is never
+    dropped.  Every other element has an extremal element of ``mask``
+    beyond it (below it for up rows, above it for down rows); that one is
+    never dropped, so the walk visits it, and the visit drops the other.
+    The covers of ``p`` are the minimal elements strictly above ``p``.
     """
-    above = rest = rows[p] & ~(1 << p)
+    above = rest = mask
     while rest:
         low = rest & -rest
         row = rows[low.bit_length() - 1]
@@ -303,16 +307,6 @@ class SubsetView:
         return Poset(len(elems), up, down), elems
 
 
-def _extremal_in(rows: Sequence[int], mask: int) -> int:
-    """Bitmask of the elements of ``mask`` whose row meets ``mask`` only in
-    themselves: the maximal elements for up rows, the minimal for down rows."""
-    out = 0
-    for x in bits_of(mask):
-        if not rows[x] & ~(1 << x) & mask:
-            out |= 1 << x
-    return out
-
-
 def cofinality_below(A: SubsetView, p: int) -> int:
     """Size of the unique minimum cofinal subset of ``A ∩ ↓p``.
 
@@ -321,14 +315,14 @@ def cofinality_below(A: SubsetView, p: int) -> int:
     """
     A.ambient.check_index(p)
     trace = A.mask & A.ambient.down[p]
-    return _extremal_in(A.ambient.up, trace).bit_count()
+    return _eliminate(A.ambient.down, trace).bit_count()
 
 
 def coinitiality_above(A: SubsetView, p: int) -> int:
     """Dual of :func:`cofinality_below` for ``A ∩ ↑p``."""
     A.ambient.check_index(p)
     trace = A.mask & A.ambient.up[p]
-    return _extremal_in(A.ambient.down, trace).bit_count()
+    return _eliminate(A.ambient.up, trace).bit_count()
 
 
 def subposet_degree(A: SubsetView) -> int:

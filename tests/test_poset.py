@@ -22,6 +22,7 @@ from fnlab.poset import (
     coinitiality_above,
     diamond,
     mask_of,
+    _eliminate,
     _poset_from_rows,
     poset_from_covers,
     subposet_degree,
@@ -353,6 +354,52 @@ class TestSubposetDegree:
 
     def test_empty_view(self):
         assert subposet_degree(SubsetView(chain(2), frozenset())) == 0
+
+
+def scanned_extremal(P, members, maximal):
+    """Reference: the members with no other member above them
+    (``maximal``) or below them, by ``P.leq`` on every pair."""
+    return frozenset(
+        x
+        for x in members
+        if not any(y != x and (P.leq(x, y) if maximal else P.leq(y, x)) for y in members)
+    )
+
+
+def reference_posets(rng):
+    for density in (0.2, 0.35, 0.5):
+        for _ in range(5):
+            yield random_poset(rng.randint(1, 12), rng, density)
+    yield from (chain(6), diamond(), powerset_algebra(3).as_poset())
+
+
+class TestExtremalAgainstScan:
+    """Maximal elements of ``A ∩ ↓p``, minimal elements of ``A ∩ ↑p`` and
+    the elimination walk on any mask, against a pairwise scan."""
+
+    def test_degree_functions(self):
+        rng = random.Random(37)
+        for P in reference_posets(rng):
+            for _ in range(3):
+                members = frozenset(x for x in range(P.n) if rng.random() < 0.5)
+                A = SubsetView(P, members)
+                degree = 0
+                for p in range(P.n):
+                    below = scanned_extremal(P, [x for x in members if P.leq(x, p)], True)
+                    above = scanned_extremal(P, [x for x in members if P.leq(p, x)], False)
+                    assert cofinality_below(A, p) == len(below), (P, members, p)
+                    assert coinitiality_above(A, p) == len(above), (P, members, p)
+                    degree = max(degree, len(below), len(above))
+                assert subposet_degree(A) == degree, (P, members)
+
+    def test_eliminate_on_masks(self):
+        rng = random.Random(38)
+        for P in reference_posets(rng):
+            for _ in range(10):
+                m = rng.getrandbits(P.n)
+                members = list(bits_of(m))
+                assert _eliminate(P.up, m) == mask_of(scanned_extremal(P, members, False))
+                assert _eliminate(P.down, m) == mask_of(scanned_extremal(P, members, True))
 
 
 class TestMonotoneMap:
