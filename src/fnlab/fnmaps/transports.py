@@ -33,6 +33,14 @@ def _checked(pair: FnPair) -> FnPair:
     return pair
 
 
+def _lift(rows: list[int], image: int) -> int:
+    """The union of ``rows[q]`` over the elements ``q`` of ``image``."""
+    out = 0
+    for q in bits_of(image):
+        out |= rows[q]
+    return out
+
+
 def transport_retract(pair: FnPair, i: MonotoneMap, j: MonotoneMap) -> FnPair:
     """Pull a valid pair on ``Q`` back to a retract ``P``.
 
@@ -45,10 +53,10 @@ def transport_retract(pair: FnPair, i: MonotoneMap, j: MonotoneMap) -> FnPair:
     if pair.poset != i.cod:
         raise InvalidArgument("input pair must live on the codomain of the section")
     _require_valid(pair, "retract input")
-    P = i.dom
-    F = tuple(j.image_mask(pair.f[i.image[p]]) for p in range(P.n))
-    G = tuple(j.image_mask(pair.g[i.image[p]]) for p in range(P.n))
-    return _checked(FnPair(P, F, G))
+    rows = [1 << p for p in j.image]
+    F = tuple(_lift(rows, pair.f[q]) for q in i.image)
+    G = tuple(_lift(rows, pair.g[q]) for q in i.image)
+    return _checked(FnPair(i.dom, F, G))
 
 
 def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int, ...]]:
@@ -69,15 +77,8 @@ def transport_subalgebra(pair: FnPair, A: SubsetView) -> tuple[FnPair, tuple[int
     induced, elems = A.as_poset()
     # each trace L_q in local indices, converted once
     L = [A.local(_eliminate(Q.down, A.mask & Q.down[q])) for q in range(Q.n)]
-
-    def lift(image: int) -> int:
-        out = 0
-        for q in bits_of(image):
-            out |= L[q]
-        return out
-
-    F = tuple(lift(pair.f[e]) for e in elems)
-    G = tuple(lift(pair.g[e]) for e in elems)
+    F = tuple(_lift(L, pair.f[e]) for e in elems)
+    G = tuple(_lift(L, pair.g[e]) for e in elems)
     return _checked(FnPair(induced, F, G)), elems
 
 
@@ -124,48 +125,38 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
         _require_valid(pr, f"cofactor {idx} input")
     base_poset = C.base.as_poset()
     lanes = [lane for row in C.lanes for lane in row]
-    # per literal (i, c): the embedded images of f(c) and of g(c)
-    images: dict[tuple[int, int], tuple[set[int], set[int]]] = {}
-
-    def close(lits: frozenset[tuple[int, int]]) -> tuple[int, int]:
-        """The two generated subalgebras of a literal set, as element masks."""
-        f0: set[int] = set()
-        g0: set[int] = set()
-        for i, c in lits:
-            if (i, c) not in images:
-                B = C.cofactors[i]
-                ci = B.element_index(c)
-                images[i, c] = tuple(
-                    {C.embed(i, B.element_mask(d)) for d in bits_of(m[ci])}
-                    for m in (pairs[i].f, pairs[i].g)
-                )
-            fi, gi = images[i, c]
-            f0 |= fi
-            g0 |= gi
-        # base poset index == element mask
-        return (
-            subalgebra_index_mask(C.katoms, frozenset(f0)),
-            subalgebra_index_mask(C.katoms, frozenset(g0)),
-        )
-
+    # per side (f, then g) and per literal (i, c), with c an atom of
+    # cofactor i other than its 1 or such an atom's complement (the only
+    # literals a normal form holds): the embedded image of c, read from one
+    # embedding of every element of the cofactor
+    images: tuple[dict[tuple[int, int], set[int]], ...] = ({}, {})
+    for i, (B, pr) in enumerate(zip(C.cofactors, pairs)):
+        emb = [C.embed(i, b) for b in B.carrier]
+        atoms = [a for a in C.atom_lists[i] if a != B.one]
+        for c in atoms + [B.complement(a) for a in atoms]:
+            ci = B.element_index(c)
+            for side, m in zip(images, (pr.f, pr.g)):
+                side[i, c] = {emb[d] for d in bits_of(m[ci])}
     # per literal set, and per lane state (0 misses, 1 meets, 2 holds, lane
     # by lane): the two generated subalgebras
     closures: dict[frozenset[tuple[int, int]], tuple[int, int]] = {}
     classes: dict[tuple[int, ...], tuple[int, int]] = {}
-    F = []
-    G = []
+    maps = []
     for x in range(base_poset.n):
         key = tuple([(x & lane != 0) + (x & lane == lane) for lane in lanes])
         if key not in classes:
             nf = literal_normal_forms(C, x)
             lits = frozenset().union(*nf.dnf, *nf.cnf)
             if lits not in closures:
-                closures[lits] = close(lits)
+                # base poset index == element mask
+                closures[lits] = tuple(
+                    subalgebra_index_mask(C.katoms, frozenset().union(*map(side.get, lits)))
+                    for side in images
+                )
             classes[key] = closures[lits]
-        fx, gx = classes[key]
-        F.append(fx)
-        G.append(gx)
-    return _checked(FnPair(base_poset, tuple(F), tuple(G)))
+        maps.append(classes[key])
+    F, G = zip(*maps)
+    return _checked(FnPair(base_poset, F, G))
 
 
 def transport_exponential(E: ExponentialAlgebra, pair: FnPair) -> FnPair:

@@ -257,13 +257,6 @@ class MonotoneMap:
     def __hash__(self):
         return hash((self.dom, self.cod, self.image))
 
-    def image_mask(self, mask: int) -> int:
-        """Pointwise image of a domain bitmask, as a codomain bitmask."""
-        out = 0
-        for p in bits_of(mask):
-            out |= 1 << self.image[p]
-        return out
-
 
 def check_retraction(i: MonotoneMap, j: MonotoneMap) -> bool:
     """True iff ``j`` retracts ``i``: both composable and ``j(i(p)) = p``."""

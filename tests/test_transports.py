@@ -20,6 +20,7 @@ from fnlab import (
 )
 from fnlab.boolalg import (
     BooleanAlgebra,
+    CoproductAlgebra,
     coproduct,
     exponential,
     generated_subalgebra,
@@ -408,6 +409,7 @@ def _reference_transport_coproduct(C, pairs):
         (1, 2, 3),
         (2, 3),
         (3, 3),
+        (6, 1),
         (generated_subalgebra(powerset_algebra(5), [0b00111, 0b01100]), tree_algebra(2, 2)),
     ],
 )
@@ -439,6 +441,23 @@ def test_coproduct_transport_takes_one_normal_form_per_class(monkeypatch):
     assert len(calls) == 111 and calls == sorted(set(calls))
 
 
+def test_coproduct_transport_embeds_each_cofactor_element_once(monkeypatch):
+    """The (3,3) transport embeds each of the 16 cofactor elements once,
+    and no more: literal images are read from that one table."""
+    calls = []
+    embed = CoproductAlgebra.embed
+
+    def counted(C, i, b):
+        calls.append((i, b))
+        return embed(C, i, b)
+
+    monkeypatch.setattr(CoproductAlgebra, "embed", counted)
+    B = powerset_algebra(3)
+    rng = random.Random(3)
+    transport_coproduct(coproduct([B, B]), [random_valid_pair(B.as_poset(), rng) for _ in range(2)])
+    assert sorted(calls) == [(i, b) for i in range(2) for b in range(8)]
+
+
 class TestCarrierCofactorTransport:
     def test_tree_algebra_cofactor(self):
         from fnlab.boolalg import tree_algebra
@@ -466,6 +485,25 @@ def test_transport_outputs_frozen():
     for out in outs:
         h.update(repr((out.poset.up, out.poset.down, out.f, out.g)).encode())
     assert h.hexdigest() == "b3332a123c41732e6be22b343f6e970039851513c417d7f9481813aeefbce789"
+
+
+def test_carrier_cofactor_transport_frozen():
+    """One sha256 over the order rows and both maps of seeded coproduct
+    transports with a carrier cofactor (a generated subalgebra, then a tree
+    algebra), where an element's index differs from its mask.  Frozen from
+    the implementation that embedded each literal's images on demand."""
+    h = hashlib.sha256()
+    rng = random.Random(2013)
+    for cofactors in (
+        [generated_subalgebra(powerset_algebra(3), [3]), powerset_algebra(2)],
+        [tree_algebra(2, 2), powerset_algebra(1)],
+    ):
+        C = coproduct(cofactors)
+        for _ in range(2):
+            pairs = [random_valid_pair(B.as_poset(), rng) for B in cofactors]
+            out = transport_coproduct(C, pairs)
+            h.update(repr((out.poset.up, out.poset.down, out.f, out.g)).encode())
+    assert h.hexdigest() == "19bdb5772329299a04431b9b39a1d6bf00fecf1417eda65f23e379a96ca1793c"
 
 
 def test_coproduct_tables_frozen():
