@@ -136,7 +136,6 @@ class BooleanAlgebra:
             _check_carrier(len(carrier), k)
         self.k = k
         self.one = (1 << k) - 1
-        self.zero = 0
         self.carrier = range(1 << k) if carrier is None else tuple(carrier)
         self.provenance = provenance or (
             {"kind": "powerset"} if carrier is None else {"kind": "subalgebra", "generators": []}
@@ -161,19 +160,9 @@ class BooleanAlgebra:
     def complement(self, x: int) -> int:
         return self.one ^ x
 
-    def leq(self, x: int, y: int) -> bool:
-        return x & ~y == 0
-
     @property
     def size(self) -> int:
         return len(self.carrier)
-
-    def elements(self):
-        return iter(self.carrier)
-
-    def element_mask(self, index: int) -> int:
-        check_index(index, "element index", self.size)
-        return self.carrier[index]
 
     def element_index(self, mask: int) -> int:
         i = bisect_left(self.carrier, mask) if type(mask) is int else len(self.carrier)
@@ -393,10 +382,6 @@ class CoproductAlgebra:
         self.lanes = tuple(map(tuple, lanes))
         self.conjuncts = tuple(conjuncts)
 
-    @property
-    def katoms(self) -> int:
-        return self.base.k
-
     def check_cofactor(self, i: int) -> None:
         """Refuse a cofactor index that is not a count below the number of
         cofactors."""
@@ -491,7 +476,7 @@ class ExponentialAlgebra:
 
     def join_strictness_witness(self) -> tuple[int, int] | None:
         """Least base pair with ``[a] ∨ [b]`` strictly below ``[a ∨ b]``."""
-        brackets = dict(zip(self.base.elements(), self.brackets))
+        brackets = dict(zip(self.base.carrier, self.brackets))
         for a, ba in brackets.items():
             for b, bb in brackets.items():
                 if ba | bb != brackets[a | b]:

@@ -157,7 +157,7 @@ def collapse(pair: FnPair) -> SetMap:
 
 def trivial_pair(P: Poset) -> FnPair:
     """The universal pair ``f(x) = P``, ``g(x) = {x}``: always valid."""
-    full = P.full_mask()
+    full = (1 << P.n) - 1
     return FnPair(P, tuple(full for _ in range(P.n)), tuple(1 << x for x in range(P.n)))
 
 

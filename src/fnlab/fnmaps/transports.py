@@ -150,7 +150,7 @@ def transport_coproduct(C: CoproductAlgebra, pairs: list[FnPair]) -> FnPair:
             if lits not in closures:
                 # base poset index == element mask
                 closures[lits] = tuple(
-                    subalgebra_index_mask(C.katoms, frozenset().union(*map(side.get, lits)))
+                    subalgebra_index_mask(C.base.k, frozenset().union(*map(side.get, lits)))
                     for side in images
                 )
             classes[key] = closures[lits]

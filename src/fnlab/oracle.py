@@ -29,10 +29,6 @@ from .poset import Poset, SubsetView, _poset_from_rows, bits_of, check_count, ch
 ORACLE_MAX_ELEMENTS = 5
 ORACLE_CELL_BUDGET = 2**25
 
-# Labeled poset counts, confirmed by the enumeration itself (test suite)
-# before being relied on as a regression value.
-LABELED_POSET_COUNTS = (1, 1, 3, 19, 219, 4231)
-
 
 def reference_valid_pair(P: Poset, f, g) -> bool:
     """Naive double-map verifier over plain sets; uses only ``P.leq``."""

@@ -95,9 +95,6 @@ class Poset:
         self.check_index(q)
         return bool(self.up[p] >> q & 1)
 
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def covers(self) -> list[tuple[int, int]]:
         """Hasse edges ``(p, q)`` with ``p < q`` and nothing strictly between."""
         out = []

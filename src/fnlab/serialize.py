@@ -277,14 +277,6 @@ def _record(rec, fields) -> tuple[int, ...]:
 
 # -------------------------------------------------------------- monotone maps
 
-def map_to_obj(m: MonotoneMap) -> dict:
-    return {
-        "dom": poset_to_obj(m.dom),
-        "cod": poset_to_obj(m.cod),
-        "image": list(m.image),
-    }
-
-
 def map_from_obj(obj) -> MonotoneMap:
     if not isinstance(obj, dict) or not {"dom", "cod", "image"} <= set(obj):
         raise ParseError("map object needs 'dom', 'cod' and 'image' fields")
@@ -336,7 +328,7 @@ def _headers(A) -> dict:
     ``carrier`` and ``generators`` of an interval or a tree algebra (a
     subalgebra's carrier is an input to the reader)."""
     if isinstance(A, CoproductAlgebra):
-        return {"atoms": A.katoms, "elements": A.base.size}
+        return {"atoms": A.base.k, "elements": A.base.size}
     if isinstance(A, ExponentialAlgebra):
         return {"atoms": A.algebra.k, "elements": A.algebra.size, "points": list(A.points)}
     headers = {"atoms": A.k, "elements": A.size}

@@ -1,5 +1,6 @@
-"""Seeded random generators that only the tests use: arbitrary set-valued
-maps, batteries of single maps, retractions and subset views.
+"""What only the tests use: seeded random generators (arbitrary set-valued
+maps, batteries of single maps, retractions and subset views), the writer
+of map files, and the labeled poset counts.
 
 Like :mod:`fnlab.gen`, every generator is driven by an explicit
 :class:`random.Random`, so a test's inputs are reproducible bit for bit.
@@ -13,6 +14,11 @@ from fnlab.errors import InvalidArgument
 from fnlab.fnmaps.core import wellorder_map
 from fnlab.gen import _check_share
 from fnlab.poset import MonotoneMap, Poset, SubsetView, bits_of, poset_from_covers
+from fnlab.serialize import poset_to_obj
+
+# Labeled poset counts, confirmed by the enumeration itself (test suite)
+# before being relied on as a regression value.
+LABELED_POSET_COUNTS = (1, 1, 3, 19, 219, 4231)
 
 
 def sets_of(masks) -> list[frozenset[int]]:
@@ -22,6 +28,14 @@ def sets_of(masks) -> list[frozenset[int]]:
 
 def identity_map(P: Poset) -> MonotoneMap:
     return MonotoneMap(P, P, tuple(range(P.n)))
+
+
+def map_to_obj(m: MonotoneMap) -> dict:
+    return {
+        "dom": poset_to_obj(m.dom),
+        "cod": poset_to_obj(m.cod),
+        "image": list(m.image),
+    }
 
 
 def random_total_map(P: Poset, rng: random.Random, density: float = 0.4) -> tuple[int, ...]:
@@ -95,7 +109,7 @@ def random_single_maps(P: Poset, rng: random.Random):
     shuffled = order[:]
     rng.shuffle(shuffled)
     out.append(wellorder_map(P, shuffled))
-    out.append(tuple(P.full_mask() for _ in range(P.n)))
+    out.append(tuple((1 << P.n) - 1 for _ in range(P.n)))
     out.append(tuple(1 << x for x in range(P.n)))
     for _ in range(4):
         out.append(random_total_map(P, rng))

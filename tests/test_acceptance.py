@@ -35,14 +35,18 @@ from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.errors import BudgetExceeded, SizeExceeded
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.oracle import (
-    LABELED_POSET_COUNTS,
     brute_cofactor_minmax,
     brute_feasible,
     brute_frontier,
     enumerate_posets,
 )
 from fnlab.poset import SubsetView, antichain, chain, diamond, subposet_degree
-from helpers import random_retraction, random_single_maps, random_subset_view
+from helpers import (
+    LABELED_POSET_COUNTS,
+    random_retraction,
+    random_single_maps,
+    random_subset_view,
+)
 
 # Frontier fixtures: antichain_3 and chain_2 are forced by hand; chain_4 and
 # diamond were computed once by the oracle boundary table and frozen here.
@@ -235,7 +239,7 @@ def test_criterion_7_exponential_relations():
     t0 = time.time()
     for k in (0, 1, 2, 3, 4):
         E = exponential(powerset_algebra(k))
-        elems = list(E.base.elements())
+        elems = list(E.base.carrier)
         brackets = {a: E.bracket(a) for a in elems}
         for a in elems:
             for b in elems:

@@ -79,7 +79,7 @@ def eval_cnf(C: CoproductAlgebra, clauses) -> int:
 class TestPowerset:
     def test_degenerate(self):
         A = powerset_algebra(0)
-        assert A.size == 1 and A.one == A.zero == 0
+        assert A.size == 1 and A.one == 0 and list(A.carrier) == [0]
 
     def test_two_element(self):
         assert powerset_algebra(1).size == 2
@@ -138,10 +138,12 @@ class TestElementSetEquality:
         ],
     )
     def test_element_mask_past_size_raises(self, make):
+        """Each element's index is its place in ``carrier``, and a mask past
+        the algebra's top is no element."""
         A = make()
-        assert [A.element_mask(i) for i in range(A.size)] == list(A.elements())
+        assert [A.element_index(m) for m in A.carrier] == list(range(A.size))
         with pytest.raises(InvalidArgument):
-            A.element_mask(A.size)
+            A.element_index(A.one + 1)
 
 
 class TestProvenance:
@@ -339,11 +341,11 @@ class TestTreeAlgebra:
 class TestCoproduct:
     def test_two_two_element_cofactors(self):
         C = coproduct([powerset_algebra(1), powerset_algebra(1)])
-        assert C.katoms == 1 and C.base.size == 2
+        assert C.base.k == 1 and C.base.size == 2
 
     def test_two_diamonds(self):
         C = coproduct([powerset_algebra(2)] * 2)
-        assert C.katoms == 4 and C.base.size == 16
+        assert C.base.k == 4 and C.base.size == 16
         # e1(a1) covers the atom tuples (a1, *)
         assert C.embed(0, 1) == 0b0011
         assert C.embed(1, 1) == 0b0101
@@ -353,9 +355,9 @@ class TestCoproduct:
         for i in (0, 1):
             B = C.cofactors[i]
             assert C.embed(i, 0) == 0 and C.embed(i, B.one) == C.base.one
-            for x in B.elements():
+            for x in B.carrier:
                 assert C.embed(i, B.complement(x)) == C.base.one ^ C.embed(i, x)
-                for y in B.elements():
+                for y in B.carrier:
                     assert C.embed(i, x & y) == C.embed(i, x) & C.embed(i, y)
                     assert C.embed(i, x | y) == C.embed(i, x) | C.embed(i, y)
 
@@ -373,12 +375,12 @@ class TestCoproduct:
     def test_carrier_cofactor(self):
         A = tree_algebra(2, 2)  # 4-element carrier inside an 8-atom ambient
         C = coproduct([A, powerset_algebra(1)])
-        assert C.katoms == 2
+        assert C.base.k == 2
         assert len(set(C.embedded_image(0))) == 4
 
     def test_atom_count_is_product(self):
         C = coproduct([powerset_algebra(2), powerset_algebra(3), powerset_algebra(1)])
-        assert C.katoms == 6
+        assert C.base.k == 6
 
     def test_degenerate_cofactor_rejected(self):
         with pytest.raises(InvalidArgument, match="^cofactors must have at least two elements$"):
@@ -446,13 +448,13 @@ class TestExponential:
         for B in bases:
             E = exponential(B)
             assert E.bracket(0) == 0 and E.bracket(B.one) == E.algebra.one
-            elems = list(E.base.elements())
+            elems = list(E.base.carrier)
             for a in elems:
                 for b in elems:
                     assert E.bracket(a & b) == E.bracket(a) & E.bracket(b)
                     assert (E.bracket(a) | E.bracket(b)) & ~E.bracket(a | b) == 0
-                    if E.base.leq(a, b):
-                        assert E.algebra.leq(E.bracket(a), E.bracket(b))
+                    if a & ~b == 0:
+                        assert E.bracket(a) & ~E.bracket(b) == 0
 
     def test_join_strictness_witness(self):
         E = exponential(powerset_algebra(2))
@@ -678,4 +680,46 @@ def test_refused_arguments_share_one_class():
             todo.append(cls)
             if "__init__" not in vars(cls) and cls.__name__ not in message_only:
                 found.append(cls.__name__)
+    assert found == []
+
+
+def test_src_names_have_src_callers():
+    """A public function or method of the library is read by the library:
+    its name occurs in ``src/`` as a name, an attribute or an import, or
+    ``fnlab`` exports it.  Helpers only the tests read live in
+    ``tests/helpers.py``; the oracle is a test reference and is not scanned."""
+    allowed = {
+        # the benchmark's `cli` checks parse stdout with these two readers
+        "verdict_from_obj",
+        "frontier_from_csv",
+        # paper-facing: acceptance criterion 7 reads it
+        "join_strictness_witness",
+        # paper-facing: acceptance criterion 5 reads each pair's capacities
+        "capacities",
+    }
+    root = Path(fnlab.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    found = []
+    for path, tree in trees.items():
+        if path.name in ("oracle.py", "__init__.py", "__main__.py"):
+            continue
+        defs = list(tree.body)
+        defs += [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
+        found += [
+            f"{path.relative_to(root)}:{d.name}"
+            for d in defs
+            if isinstance(d, ast.FunctionDef)
+            and not d.name.startswith("_")
+            and d.name not in used | allowed
+            and not hasattr(fnlab, d.name)
+        ]
     assert found == []

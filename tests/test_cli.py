@@ -18,6 +18,7 @@ from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.cli import build_parser, main
 from fnlab.errors import TransportDefect
 from fnlab.poset import MonotoneMap, chain, diamond
+from helpers import map_to_obj
 
 
 def write(path, text):
@@ -83,7 +84,7 @@ def invalid_pair_file(tmp_path):
 def test_bad_argument_exit_two(tmp_path, diamond_file, capsys, args):
     """Library argument errors and unreadable files: exit 2, one line."""
     (tmp_path / "dir").mkdir()
-    identity = ser.map_to_obj(MonotoneMap(diamond(), diamond(), (0, 1, 2, 3)))
+    identity = map_to_obj(MonotoneMap(diamond(), diamond(), (0, 1, 2, 3)))
     d, e2 = identity["dom"], exponential(powerset_algebra(2))
     files = {
         "p3": write(tmp_path / "p3.json", ser.dumps(ser.algebra_to_obj(powerset_algebra(3)))),
@@ -424,8 +425,8 @@ class TestTransport:
         i = MonotoneMap(P, Q, (0, 2))
         j = MonotoneMap(Q, P, (0, 0, 1))
         pair_f = write(tmp_path / "pq.json", ser.dumps(ser.pair_to_obj(trivial_pair(Q))))
-        i_f = write(tmp_path / "i.json", ser.dumps(ser.map_to_obj(i)))
-        j_f = write(tmp_path / "j.json", ser.dumps(ser.map_to_obj(j)))
+        i_f = write(tmp_path / "i.json", ser.dumps(map_to_obj(i)))
+        j_f = write(tmp_path / "j.json", ser.dumps(map_to_obj(j)))
         rc = main(
             ["transport", "retract", "--pair", pair_f, "--section", i_f, "--retraction", j_f]
         )
@@ -475,7 +476,7 @@ class TestTransport:
         pair_f = write(tmp_path / "pq.json", ser.dumps(ser.pair_to_obj(trivial_pair(Q))))
         i = {"dom": ser.poset_to_obj(P), "cod": ser.poset_to_obj(Q), "image": image}
         i_f = write(tmp_path / "i.json", json.dumps(i))
-        j_f = write(tmp_path / "j.json", ser.dumps(ser.map_to_obj(MonotoneMap(Q, P, (0, 0, 1)))))
+        j_f = write(tmp_path / "j.json", ser.dumps(map_to_obj(MonotoneMap(Q, P, (0, 0, 1)))))
         rc = main(
             ["transport", "retract", "--pair", pair_f, "--section", i_f, "--retraction", j_f]
         )
@@ -490,7 +491,7 @@ class TestTransport:
             raise TransportDefect(Verdict(False, (0, 1, 1)))
 
         monkeypatch.setattr("fnlab.cli.transport_retract", defective)
-        m = ser.map_to_obj(MonotoneMap(diamond(), diamond(), (0, 1, 2, 3)))
+        m = map_to_obj(MonotoneMap(diamond(), diamond(), (0, 1, 2, 3)))
         m_f = write(tmp_path / "id.json", ser.dumps(m))
         rc = main(
             ["transport", "retract", "--pair", valid_pair_file, "--section", m_f,

@@ -211,7 +211,7 @@ class TestCollapse:
     def test_trivial_pair_collapses_to_full(self):
         P = diamond()
         h = collapse(trivial_pair(P))
-        assert h == tuple(P.full_mask() for _ in range(4))
+        assert h == tuple((1 << P.n) - 1 for _ in range(4))
         assert verify_single(P, h).valid
 
     def test_collapse_of_doubled_single_is_itself(self):

@@ -20,6 +20,7 @@ from fnlab.boolalg import (
 from fnlab.cli import main
 from fnlab.errors import ParseError
 from fnlab.poset import MonotoneMap, bits_of, chain, diamond, poset_from_covers
+from helpers import map_to_obj
 
 
 class TestPosetRoundTrip:
@@ -118,7 +119,7 @@ def test_malformed_verdict_parse_error(obj):
 class TestMapRoundTrip:
     def test_monotone_map(self):
         m = MonotoneMap(chain(2), chain(3), (0, 2))
-        assert ser.map_from_obj(ser.map_to_obj(m)) == m
+        assert ser.map_from_obj(map_to_obj(m)) == m
 
 
 class TestFrontierRoundTrip:

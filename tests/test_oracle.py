@@ -7,7 +7,6 @@ from fnlab import FnPair, frontier, verify_pair, verify_single
 from fnlab.errors import InvalidArgument, SizeExceeded
 from fnlab.gen import random_poset
 from fnlab.oracle import (
-    LABELED_POSET_COUNTS,
     ORACLE_CELL_BUDGET,
     _canonical_rows,
     _needed_g_table,
@@ -19,7 +18,7 @@ from fnlab.oracle import (
     reference_valid_pair,
 )
 from fnlab.poset import SubsetView, _poset_from_rows, antichain, bits_of, chain, diamond
-from helpers import random_total_map, sets_of
+from helpers import LABELED_POSET_COUNTS, random_total_map, sets_of
 
 # Unlabeled poset counts (OEIS A000112; Brinkmann & McKay 2002): one
 # canonical key per isomorphism class.

@@ -449,7 +449,7 @@ def slipping_map(dom, cod, rng, slip):
     probability ``slip``."""
     image = [0] * dom.n
     for x in sorted(range(dom.n), key=lambda x: dom.down[x].bit_count()):
-        allowed = cod.full_mask()
+        allowed = (1 << cod.n) - 1
         for y in bits_of(dom.down[x] & ~(1 << x)):
             allowed &= cod.up[image[y]]
         choices = list(bits_of(allowed))

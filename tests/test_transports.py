@@ -188,7 +188,7 @@ def test_subalgebra_images_match_relocal_recipe():
 class TestCofactorProjections:
     def test_element_of_the_cofactor_is_fixed(self):
         C = coproduct([powerset_algebra(2)] * 2)
-        for b in C.cofactors[0].elements():
+        for b in C.cofactors[0].carrier:
             x = C.embed(0, b)
             assert cofactor_projections(C, 0, x) == (x, x)
 
@@ -347,7 +347,7 @@ def _reference_transport_exponential(E, pair):
         idx = set() if x in (0, full) else literals(x) | literals(full ^ x)
         H = [E.base.element_index(h) for h in subalgebra_masks(E.base.k, sorted(idx))]
         for m, out in ((pair.f, F), (pair.g, G)):
-            gens = {_scanned_bracket(E, E.base.element_mask(d)) for h in H for d in bits_of(m[h])}
+            gens = {_scanned_bracket(E, E.base.carrier[d]) for h in H for d in bits_of(m[h])}
             out.append(subalgebra_index_mask(len(E.points), frozenset(gens)))
     return FnPair(E.algebra.as_poset(), tuple(F), tuple(G))
 
@@ -366,7 +366,7 @@ def test_exponential_transport_matches_per_element_recipe(base):
     the brackets read off the base order are the per-point scan."""
     rng = random.Random(base.size)
     E = exponential(base)
-    for a in base.elements():
+    for a in base.carrier:
         assert E.bracket(a) == _scanned_bracket(E, a)
     for _ in range(6):
         pair = random_valid_pair(base.as_poset(), rng)
@@ -396,10 +396,10 @@ def _reference_transport_coproduct(C, pairs):
         for i, c in set().union(*nf.dnf, *nf.cnf):
             B = C.cofactors[i]
             ci = B.element_index(c)
-            f0 |= {C.embed(i, B.element_mask(d)) for d in bits_of(pairs[i].f[ci])}
-            g0 |= {C.embed(i, B.element_mask(d)) for d in bits_of(pairs[i].g[ci])}
-        F.append(subalgebra_index_mask(C.katoms, frozenset(f0)))
-        G.append(subalgebra_index_mask(C.katoms, frozenset(g0)))
+            f0 |= {C.embed(i, B.carrier[d]) for d in bits_of(pairs[i].f[ci])}
+            g0 |= {C.embed(i, B.carrier[d]) for d in bits_of(pairs[i].g[ci])}
+        F.append(subalgebra_index_mask(C.base.k, frozenset(f0)))
+        G.append(subalgebra_index_mask(C.base.k, frozenset(g0)))
     return FnPair(C.base.as_poset(), tuple(F), tuple(G))
 
 
@@ -520,7 +520,7 @@ def test_coproduct_tables_frozen():
     for cofactors in cofactor_lists:
         C = coproduct(cofactors)
         for i, B in enumerate(C.cofactors):
-            h.update(repr([C.embed(i, b) for b in B.elements()]).encode())
+            h.update(repr([C.embed(i, b) for b in B.carrier]).encode())
             h.update(repr(C.embedded_image(i)).encode())
         for x in range(C.base.size):
             forms = [[sorted(c) for c in form] for form in literal_normal_forms(C, x)]
@@ -578,9 +578,9 @@ def _refusals():
         (lambda: MonotoneMap(c2, c2, (1, 0)), "map is not order-preserving at 0 <= 1"),
         (lambda: poset_from_covers(2, [(0, 5)]), "cover edge end 5 is not below 2"),
         (lambda: poset_from_covers(2, [(0.0, 1)]), "cover edge end 0.0 is not an integer"),
-        (lambda: P2.element_mask(-1), "element index -1 is below 0"),
-        (lambda: P2.element_mask(4), "element index 4 is not below 4"),
-        (lambda: P2.element_mask(2.0), "element index 2.0 is not an integer"),
+        (lambda: P2.element_index(-1), "mask -1 is not an element of the algebra"),
+        (lambda: P2.element_index(4), "mask 4 is not an element of the algebra"),
+        (lambda: P2.element_index(2.0), "mask 2.0 is not an element of the algebra"),
         (lambda: C.embedded_image(-1), "cofactor index -1 is below 0"),
         (lambda: FnPair(c2, [[0], [5]], [[0], [1]]), "f(1) mentions elements outside the poset"),
         (lambda: chain(2.0), "poset size 2.0 is not an integer"),
