@@ -2,7 +2,9 @@
 
 ``search_pair`` is a complete search that decides whether a valid pair
 within capacities ``(a, b)`` exists and returns a witness when one does;
-``feasible`` only decides, and builds no pair.
+``feasible`` only decides, and builds no pair.  ``frontier`` reads its
+``a = 1`` row off the widest cone ``up[x] | down[x]``, which is proved, and
+asks ``feasible`` only from row 2 on.
 Slot ``2x`` holds ``f(x)`` and slot ``2x + 1`` holds ``g(x)``.  Each map
 has one candidate table, every ``size``-subset of the elements in
 ``combinations`` order; a slot's domain is a bitmask over the indices of
@@ -297,7 +299,11 @@ def frontier(
 
     Feasibility is monotone in both capacities and symmetric under swapping
     them, so the walk only descends the boundary for ``a`` up to the
-    diagonal and mirrors the result.  A row stops at the diagonal: below
+    diagonal and mirrors the result.  Row ``a = 1`` asks no query: there
+    ``f(x) = {x}`` forces ``g(x)`` to hold ``cone(x) = up[x] | down[x]``,
+    and ``g(x) = cone(x)`` is valid, so its point is ``(1, w)`` with ``w``
+    the widest cone.  Rows ``a = 2, 3, ...`` start at ``b = w`` and ask
+    :func:`feasible` one ``b`` at a time.  A row stops at the diagonal: below
     it, ``(a, c)`` with ``c < a`` is the mirror of ``(c, a)``, which row
     ``c`` already decided, so every point it could add is the mirror of one
     the walk already has, and no such query is asked.  ``workers`` has no
@@ -306,27 +312,26 @@ def frontier(
     still pass ``workers=1``.
     When the budget or the candidate cap cuts the walk short, the
     :class:`SizeExceeded` (or :class:`BudgetExceeded`) carries the boundary
-    points confirmed so far as ``partial``.
+    points confirmed so far as ``partial``, which always holds ``(1, w)``
+    and its mirror.
     """
     check_count(node_budget, "node budget")
     check_count(workers, "worker count", 1)
-    if P.n == 0:
-        return Frontier(((1, 1),))
+    # row 1 asks no query (see above); the empty poset's frontier is (1, 1)
+    a, b = 1, max(((P.up[x] | P.down[x]).bit_count() for x in range(P.n)), default=1)
     # (a, b) for each a where the boundary drops, up to the diagonal
-    points: list[tuple[int, int]] = []
+    points = [(a, b)]
 
     def mirrored() -> tuple[tuple[int, int], ...]:
         return tuple(sorted({*points, *((b, a) for a, b in points)}))
 
-    b = P.n
     try:
-        for a in range(1, P.n + 1):
+        while b > a:
+            a += 1
             while b > a and feasible(P, (a, b - 1), node_budget):
                 b -= 1
-            if not points or b < points[-1][1]:
+            if b < points[-1][1]:
                 points.append((a, b))
-            if b <= a:
-                break
     except SizeExceeded as e:  # BudgetExceeded too
         # boundary points confirmed so far are true frontier points
         e.partial = mirrored()

@@ -45,12 +45,13 @@ FROZEN_BEYOND_ORACLE = {
 }
 # sha256 of the outcomes of ``witness_log``, frozen from the search: a change
 # to the value order, the node count or any witness changes it
-WITNESS_LOG_SHA256 = "f9d316fdbe3fff38c602c53bee733c2e7ff7b52f78b1d817319e70b3d2d3e92b"
+WITNESS_LOG_SHA256 = "06fb3feb7c3bfdeb633364d541d3356cb1331a83854f2d01feaabc113d882856"
 
 
 def _widest_cone(P):
-    """The proved a = 1 row of every frontier: ``b = max |up[x] | down[x]|``."""
-    return max((P.up[x] | P.down[x]).bit_count() for x in range(P.n))
+    """The proved a = 1 row of every frontier: ``b = max |up[x] | down[x]|``,
+    1 on the empty poset."""
+    return max(((P.up[x] | P.down[x]).bit_count() for x in range(P.n)), default=1)
 
 
 class TestSearchPair:
@@ -280,32 +281,33 @@ class TestRestart:
                 assert outcome(feasible, P, cap, nodes - 1) == ("budget", nodes)
 
 
+def asked(monkeypatch):
+    """The caps the walk asks ``feasible``, in order, from now on."""
+    caps = []
+    ask = search_module.feasible
+
+    def counted(P, cap, node_budget):
+        caps.append(cap)
+        return ask(P, cap, node_budget)
+
+    monkeypatch.setattr(search_module, "feasible", counted)
+    return caps
+
+
 class TestMirroredQueries:
     """Each row of the walk stops at the diagonal: ``(a, c)`` with ``c < a``
     is the mirror of ``(c, a)``, which row ``c`` decided, so ``feasible`` is
     never asked it."""
 
-    @staticmethod
-    def asked(monkeypatch):
-        caps = []
-        ask = search_module.feasible
-
-        def counted(P, cap, node_budget):
-            caps.append(cap)
-            return ask(P, cap, node_budget)
-
-        monkeypatch.setattr(search_module, "feasible", counted)
-        return caps
-
     def test_no_mirrored_query(self, monkeypatch):
-        caps = self.asked(monkeypatch)
+        caps = asked(monkeypatch)
         for seed in range(40):
             P = random_poset(1 + seed % 5, random.Random(f"mirror/{seed}"))
             assert frontier(P).points == brute_frontier(P)
         assert all(c >= a for a, c in caps), caps
 
     def test_chain10_skips_its_mirrored_query(self, monkeypatch):
-        caps = self.asked(monkeypatch)
+        caps = asked(monkeypatch)
         assert frontier(chain(10)).points == FROZEN_BEYOND_ORACLE["chain_10"][1]
         assert (3, 3) in caps and (3, 2) not in caps
         assert all(c >= a for a, c in caps), caps
@@ -442,6 +444,46 @@ class TestCapCutWalk:
         assert captured.err == f"error: {CAP_CUT}\n"
 
 
+class TestRowOne:
+    """The walk reads row ``a = 1`` off the widest cone and asks ``feasible``
+    nothing there; the oracle differential in ``TestFrontier`` checks the
+    formula against an independent walk of row 1."""
+
+    def test_no_row_one_query(self, monkeypatch):
+        caps = asked(monkeypatch)
+        posets = [*witness_posets(), chain(0), chain(1), antichain(5), TestCapCutWalk.star]
+        for P in posets:
+            try:
+                points = frontier(P, 2 * 10**6).points
+            except SizeExceeded as e:
+                points = e.partial
+            assert points[0] == (1, _widest_cone(P))
+        assert caps and all(a > 1 for a, _ in caps), caps
+
+
+class TestReach:
+    """Walks the candidate cap refused inside row 1 while that row was
+    searched."""
+
+    def test_twenty_element_frontier(self):
+        # no second engine has confirmed these points yet (ROADMAP R)
+        P = random_poset(20, random.Random("20/0.1"), 0.1)
+        assert frontier(P).points == ((1, 8), (2, 4), (3, 3), (4, 2), (8, 1))
+        # (1, 8) is not searched: its table holds nearly 2**20 candidates
+        for cap in ((2, 4), (3, 3)):
+            w = search_pair(P, cap)
+            assert w is not None and verify_pair(w).valid
+            assert reference_valid_pair(P, sets_of(w.f), sets_of(w.g))
+        assert search_pair(P, (2, 3)) is None
+
+    def test_twenty_four_elements_cut_at_row_two(self):
+        P = random_poset(24, random.Random("24/0.1"), 0.1)
+        with pytest.raises(SizeExceeded) as e:
+            frontier(P)
+        assert str(e.value) == "32449872 candidate sets of size 12 exceed cap 1048576"
+        assert e.value.partial == ((1, 13), (13, 1))
+
+
 class TestBeyondOracle:
     @pytest.mark.parametrize("name", sorted(FROZEN_BEYOND_ORACLE))
     def test_frozen_frontier(self, name):
@@ -478,14 +520,18 @@ def logged(run, *args):
     return got if got is None else (got.f, got.g)
 
 
+def witness_posets():
+    """The 18 posets of ``witness_log``."""
+    posets = [chain(6), chain(7), chain(8), chain(10), powerset_algebra(3).as_poset(), diamond()]
+    return posets + [random_poset(6 + i % 5, random.Random(i)) for i in range(12)]
+
+
 def witness_log():
     """Every outcome of a fixed procedure on 18 posets: the walk at a large
     budget, every capacity pair at a large and at small budgets, and the
     walk at small budgets."""
-    posets = [chain(6), chain(7), chain(8), chain(10), powerset_algebra(3).as_poset(), diamond()]
-    posets += [random_poset(6 + i % 5, random.Random(i)) for i in range(12)]
     log = []
-    for P in posets:
+    for P in witness_posets():
         log.append(logged(frontier, P, 2 * 10**6))
         for a, b in product(range(1, P.n + 1), repeat=2):
             for budget in (2 * 10**6, 3, 5, 40, 300):
@@ -498,6 +544,22 @@ def witness_log():
 class TestFrozenWitnesses:
     def test_witness_log_hash(self):
         assert sha256(repr(witness_log()).encode()).hexdigest() == WITNESS_LOG_SHA256
+
+    def test_cut_walks_keep_decided_points(self):
+        """A walk the budget cuts short carries only points of the decided
+        frontier, and always the row-1 point and its mirror."""
+        cut = 0
+        for P in witness_posets():
+            decided = set(frontier(P, 2 * 10**6).points)
+            w = _widest_cone(P)
+            for budget in (3, 10, 100, 1000):
+                try:
+                    frontier(P, budget)
+                except BudgetExceeded as e:
+                    cut += 1
+                    assert set(e.partial) <= decided, (P, budget)
+                    assert {(1, w), (w, 1)} <= set(e.partial), (P, budget)
+        assert cut == 18 + 17 + 3 + 2  # cut walks at budgets 3, 10, 100, 1000
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_table_lists_each_elements_sets_in_order(self, n):
