@@ -66,7 +66,9 @@ def _load_algebra(path: str, cls: type):
     """The algebra in ``path``, which must be a ``cls``."""
     A = ser.algebra_from_obj(ser.load_file(path))
     if not isinstance(A, cls):
-        raise ParseError(f"{path} holds a {type(A).__name__}, need a {cls.__name__}")
+        raise ParseError(
+            f"{path} holds an algebra of class {type(A).__name__}, need class {cls.__name__}"
+        )
     return A
 
 
@@ -203,10 +205,7 @@ def cmd_transport(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.oracle_cmd == "count":
-        n = 0
-        for _ in enumerate_posets(args.n):
-            n += 1
-        _emit(f"{n}\n", args.output)
+        _emit(f"{sum(1 for _ in enumerate_posets(args.n))}\n", args.output)
         return EXIT_OK
     P = ser.poset_from_obj(ser.load_file(args.poset))
     if args.oracle_cmd == "feasible":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import InvalidArgument
-from ..poset import Poset, bits_of, check_count, mask_of
+from ..poset import Poset, bits_of, check_count
 
 SetMap = tuple[int, ...]  # one bitmask per poset element
 
@@ -38,38 +38,30 @@ def check_capacities(cap) -> tuple[int, int]:
     return a, b
 
 
-def _coerce_map(P: Poset, values: Iterable[object], name: str) -> SetMap:
+def _coerce_map(P: Poset, values: Iterable[int], name: str) -> SetMap:
     try:
         values = tuple(values)
     except TypeError:
         values = None
     if values is None or len(values) != P.n:
         raise InvalidArgument(f"{name} must assign a set to each of the {P.n} elements")
-    masks = []
-    for x, v in enumerate(values):
-        if type(v) is int:  # not bool, not a float or a numpy scalar
-            m = v
-        else:
-            try:
-                idx = tuple(v)
-            except TypeError:
-                idx = None
-            if idx is None or any(type(i) is not int for i in idx):
-                raise InvalidArgument(f"{name}({x}) must be a mask or an iterable of indices")
-            # an index outside [0, n) sets bit n, so a huge one allocates nothing
-            m = mask_of([i if 0 <= i < P.n else P.n for i in idx])
+    for x, m in enumerate(values):
+        if type(m) is not int:  # not bool, not a float or a numpy scalar
+            raise InvalidArgument(f"{name}({x}) must be a mask")
         if m < 0 or m >> P.n:
             raise InvalidArgument(f"{name}({x}) mentions elements outside the poset")
-        masks.append(m)
-    return tuple(masks)
+    return values
 
 
 class FnPair:
     """A total pair of set-valued maps on a poset, stored as bitmask rows.
 
-    ``f`` and ``g`` give each element a bitmask or an iterable of indices."""
+    ``f`` and ``g`` give each element its image as a plain-int mask, bit
+    ``i`` standing for element ``i``; :func:`fnlab.poset.mask_of` builds
+    one from indices.  Pair files hold index lists, which the reader
+    converts."""
 
-    def __init__(self, poset: Poset, f: Iterable[object], g: Iterable[object]):
+    def __init__(self, poset: Poset, f: Iterable[int], g: Iterable[int]):
         self.poset = poset
         self.f = _coerce_map(poset, f, "f")
         self.g = _coerce_map(poset, g, "g")
@@ -138,7 +130,7 @@ def verify_pair(pair: FnPair, with_interpolants: bool = False) -> Verdict:
     return Verdict(True, None, out)
 
 
-def verify_single(P: Poset, h: Iterable[object]) -> Verdict:
+def verify_single(P: Poset, h: Iterable[int]) -> Verdict:
     """Single-map verification: ``r in h(p) ∩ h(q)`` with ``p <= r <= q``.
 
     With ``f = g`` the two clauses coincide, so a violation is clause 1."""

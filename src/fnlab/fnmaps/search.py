@@ -264,6 +264,13 @@ def search_pair(
     the node budget runs out, which is reported distinctly from ``None``,
     and :class:`SizeExceeded` when a map's candidates, summed over its
     slots, would exceed ``MAX_CANDIDATES``.
+
+    Unlike :func:`feasible` it never restarts: the witness is the first leaf
+    of one walk in one fixed order.  So a point the frontier walk confirmed
+    can take far longer to get a witness for; on
+    ``random_poset(24, random.Random("24/0.1"), 0.1)`` at ``(2, 4)``,
+    ``feasible`` answers True in about a second, while this search runs out
+    of ``2·10^6`` nodes only after twenty times as long.
     """
     images = _search(P, cap, node_budget, restart=False)
     return None if images is None else FnPair(P, tuple(images[0::2]), tuple(images[1::2]))

@@ -244,8 +244,6 @@ def brute_pair_product_feasible(P: Poset, cap) -> bool:
     n = P.n
     if n > 3:
         raise SizeExceeded("joint enumeration capped at 3 elements")
-    if n == 0:
-        return True
     fchoices = [_exact_size_choices(n, x, min(a, n)) for x in range(n)]
     gchoices = [_exact_size_choices(n, x, min(b, n)) for x in range(n)]
     for f in product(*fchoices):

@@ -13,7 +13,7 @@ import random
 from fnlab.errors import InvalidArgument
 from fnlab.fnmaps.core import wellorder_map
 from fnlab.gen import _check_share
-from fnlab.poset import MonotoneMap, Poset, SubsetView, bits_of, poset_from_covers
+from fnlab.poset import MonotoneMap, Poset, SubsetView, bits_of, mask_of, poset_from_covers
 from fnlab.serialize import poset_to_obj
 
 # Labeled poset counts, confirmed by the enumeration itself (test suite)
@@ -24,6 +24,12 @@ LABELED_POSET_COUNTS = (1, 1, 3, 19, 219, 4231)
 def sets_of(masks) -> list[frozenset[int]]:
     """Each bitmask of a map as the set of its element indices."""
     return [frozenset(bits_of(m)) for m in masks]
+
+
+def masks_of(sets) -> tuple[int, ...]:
+    """Each set of element indices of a map as its bitmask: the inverse of
+    :func:`sets_of`, for writing a map's images as index sets."""
+    return tuple(map(mask_of, sets))
 
 
 def identity_map(P: Poset) -> MonotoneMap:

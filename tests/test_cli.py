@@ -18,7 +18,7 @@ from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.cli import build_parser, main
 from fnlab.errors import TransportDefect
 from fnlab.poset import MonotoneMap, chain, diamond
-from helpers import map_to_obj
+from helpers import map_to_obj, masks_of
 
 
 def write(path, text):
@@ -46,7 +46,7 @@ def valid_pair_file(tmp_path):
 
 @pytest.fixture
 def invalid_pair_file(tmp_path):
-    pair = FnPair(chain(2), [{0}, {1}], [{0}, {1}])
+    pair = FnPair(chain(2), masks_of([{0}, {1}]), masks_of([{0}, {1}]))
     return write(tmp_path / "bad_pair.json", ser.dumps(ser.pair_to_obj(pair)))
 
 
@@ -401,6 +401,27 @@ def test_bad_algebra_file_exit_two(tmp_path, valid_pair_file, capsys, args, name
     pair = ["--pair", valid_pair_file] if args[0] == "transport" else []
     assert main([*args, alg, *pair]) == 2
     assert assert_one_error_line(capsys) == ""
+
+
+@pytest.mark.parametrize(
+    "args, name, held, needed",
+    [
+        (["transport", "exponential", "--algebra"], "powerset", "BooleanAlgebra",
+         "ExponentialAlgebra"),
+        (["transport", "coproduct", "--algebra"], "exponential", "ExponentialAlgebra",
+         "CoproductAlgebra"),
+        (["construct", "exponential", "--base"], "coproduct", "CoproductAlgebra",
+         "BooleanAlgebra"),
+    ],
+)
+def test_wrong_kind_algebra_file_names_both_classes(
+    tmp_path, valid_pair_file, capsys, args, name, held, needed
+):
+    alg = write(tmp_path / "alg.json", ser.dumps(BAD_ALGEBRA_FILES[name]))
+    pair = ["--pair", valid_pair_file] if args[0] == "transport" else []
+    assert main([*args, alg, *pair]) == 2
+    err = f"error: {alg} holds an algebra of class {held}, need class {needed}\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def test_degenerate_cofactor_file_exit_two(tmp_path, capsys):

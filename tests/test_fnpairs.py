@@ -22,7 +22,7 @@ from fnlab.boolalg import coproduct, exponential, powerset_algebra
 from fnlab.errors import InvalidArgument
 from fnlab.gen import random_poset, random_valid_pair
 from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
-from helpers import random_total_map, sets_of
+from helpers import masks_of, random_total_map, sets_of
 
 
 @pytest.mark.parametrize("density", [float("nan"), -0.1, 1.5])
@@ -34,49 +34,51 @@ def test_random_total_map_refuses_density_outside_unit_interval(density):
 class TestVerifySingle:
     def test_full_sets_valid(self):
         P = chain(2)
-        assert verify_single(P, [{0, 1}, {0, 1}]).valid
+        assert verify_single(P, masks_of([{0, 1}, {0, 1}])).valid
 
     def test_singletons_invalid(self):
-        v = verify_single(chain(2), [{0}, {1}])
+        v = verify_single(chain(2), masks_of([{0}, {1}]))
         assert not v.valid and v.violation[:2] == (0, 1)
 
     def test_bst_style_chain3(self):
-        assert verify_single(chain(3), [{0, 1}, {1}, {1, 2}]).valid
+        assert verify_single(chain(3), masks_of([{0, 1}, {1}, {1, 2}])).valid
 
     def test_not_total(self):
         with pytest.raises(
             InvalidArgument, match="^h must assign a set to each of the 2 elements$"
         ):
-            verify_single(chain(2), [{0}])
+            verify_single(chain(2), [0b01])
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidArgument):
-            verify_single(chain(2), [{0}, {5}])
-        # a negative index gets the same error as one past the end
-        with pytest.raises(InvalidArgument, match=r"^h\(0\) mentions elements outside the poset$"):
-            verify_single(chain(2), [[0, -3], [1]])
+        with pytest.raises(InvalidArgument, match=r"^h\(1\) mentions elements outside the poset$"):
+            verify_single(chain(2), [0b01, 0b100])
+        # a negative mask gets the same error as a bit past the end
         with pytest.raises(InvalidArgument, match=r"^f\(0\) mentions elements outside the poset$"):
-            FnPair(chain(2), [[-1], [1]], [[0], [1]])
-        # an index far past the poset is refused without building its mask
+            FnPair(chain(2), [-1, 0b10], [0b01, 0b10])
         with pytest.raises(InvalidArgument, match=r"^g\(1\) mentions elements outside the poset$"):
-            FnPair(chain(2), [[0], [1]], [[0], [10**15]])
+            FnPair(chain(2), [0b01, 0b10], [0b01, 1 << 64])
 
-    @pytest.mark.parametrize("entry", [True, [0.0], ["0"], "0", None, 1.5, [True], [None]])
+    @pytest.mark.parametrize(
+        "entry",
+        [True, [0.0], ["0"], "0", None, 1.5, [True], [None], {0}, [0], (0,), range(1)],
+    )
     def test_entry_neither_mask_nor_indices(self, entry):
-        tail = " must be a mask or an iterable of indices$"
+        """Only a plain int is an image: a bool, a float, a string, None and
+        every collection of indices are refused, whatever they hold."""
+        tail = " must be a mask$"
         with pytest.raises(InvalidArgument, match=rf"^f\(0\){tail}"):
-            FnPair(chain(2), [entry, [1]], [[0], [1]])
+            FnPair(chain(2), [entry, 0b10], [0b01, 0b10])
         with pytest.raises(InvalidArgument, match=rf"^g\(1\){tail}"):
-            FnPair(chain(2), [[0], 2], [1, entry])
+            FnPair(chain(2), [0b01, 0b10], [0b01, entry])
         with pytest.raises(InvalidArgument, match=rf"^h\(0\){tail}"):
-            verify_single(chain(2), [entry, [1]])
+            verify_single(chain(2), [entry, 0b10])
 
     @pytest.mark.parametrize("images", [None, 5, 1.5])
     def test_map_not_iterable(self, images):
         with pytest.raises(
             InvalidArgument, match=r"^f must assign a set to each of the 2 elements$"
         ):
-            FnPair(chain(2), images, [[0], [1]])
+            FnPair(chain(2), images, [0b01, 0b10])
         with pytest.raises(
             InvalidArgument, match=r"^h must assign a set to each of the 2 elements$"
         ):
@@ -84,19 +86,19 @@ class TestVerifySingle:
 
     def test_map_read_once(self):
         """A map given as an iterator is read once, into the stored masks."""
-        pair = FnPair(chain(2), (s for s in ([0], [1])), iter([[0, 1], 0b10]))
+        pair = FnPair(chain(2), (m for m in (0b01, 0b10)), iter([0b11, 0b10]))
         assert pair.f == (0b01, 0b10) and pair.g == (0b11, 0b10)
-        assert verify_single(chain(2), (s for s in ([0, 1], [1]))).valid
+        assert verify_single(chain(2), (m for m in (0b11, 0b10))).valid
 
 
 class TestVerifyPair:
     def test_downsets_valid(self):
         P = chain(2)
-        pair = FnPair(P, [{0}, {0, 1}], [{0}, {0, 1}])
+        pair = FnPair(P, masks_of([{0}, {0, 1}]), masks_of([{0}, {0, 1}]))
         assert verify_pair(pair).valid
 
     def test_singletons_clause_one(self):
-        v = verify_pair(FnPair(chain(2), [{0}, {1}], [{0}, {1}]))
+        v = verify_pair(FnPair(chain(2), masks_of([{0}, {1}]), masks_of([{0}, {1}])))
         assert not v.valid and v.violation == (0, 1, 1)
 
     def test_trivial_pair_on_diamond(self):
@@ -268,7 +270,7 @@ class TestInterpolantLookup:
         assert interpolant_lookup(pair, 0, 3) == (3, 0)
 
     def test_chain2_asymmetric_pair(self):
-        pair = FnPair(chain(2), [{0}, {1}], [{0, 1}, {0, 1}])
+        pair = FnPair(chain(2), masks_of([{0}, {1}]), masks_of([{0, 1}, {0, 1}]))
         assert verify_pair(pair).valid
         assert interpolant_lookup(pair, 0, 1) == (0, 1)
 
@@ -277,7 +279,7 @@ class TestInterpolantLookup:
             interpolant_lookup(trivial_pair(antichain(2)), 0, 1)
 
     def test_no_witness_on_invalid_pair(self):
-        pair = FnPair(chain(2), [{0}, {1}], [{0}, {1}])
+        pair = FnPair(chain(2), masks_of([{0}, {1}]), masks_of([{0}, {1}]))
         with pytest.raises(
             InvalidArgument, match=r"^no witness in f\(0\) ∩ g\(1\) within \[0, 1\]$"
         ):
@@ -285,7 +287,7 @@ class TestInterpolantLookup:
 
     def test_no_second_clause_witness(self):
         # f(0) ∩ g(1) holds 0, but g(0) ∩ f(1) is empty
-        pair = FnPair(chain(2), [{0}, {1}], [{0}, {0}])
+        pair = FnPair(chain(2), masks_of([{0}, {1}]), masks_of([{0}, {0}]))
         with pytest.raises(
             InvalidArgument, match=r"^no witness in g\(0\) ∩ f\(1\) within \[0, 1\]$"
         ):

@@ -20,7 +20,7 @@ from fnlab.boolalg import (
 from fnlab.cli import main
 from fnlab.errors import ParseError
 from fnlab.poset import MonotoneMap, bits_of, chain, diamond, poset_from_covers
-from helpers import map_to_obj
+from helpers import map_to_obj, masks_of
 
 
 class TestPosetRoundTrip:
@@ -71,7 +71,7 @@ class TestVerdictRoundTrip:
         assert back == v
 
     def test_invalid_with_violation(self):
-        v = verify_pair(FnPair(chain(2), [{0}, {1}], [{0}, {1}]))
+        v = verify_pair(FnPair(chain(2), masks_of([{0}, {1}]), masks_of([{0}, {1}])))
         back = ser.verdict_from_obj(ser.verdict_to_obj(v))
         assert back == Verdict(False, (0, 1, 1))
 

@@ -24,7 +24,7 @@ from fnlab.oracle import (
     reference_valid_pair,
 )
 from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
-from helpers import sets_of
+from helpers import masks_of, sets_of
 
 # Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
 # model of the same problem, solved separately, gave the same points, except
@@ -100,7 +100,7 @@ class TestSearchPair:
     def test_capacities_are_a_plain_tuple(self):
         cap = check_capacities([2, 3])
         assert type(cap) is tuple and cap == (2, 3)
-        got = FnPair(chain(2), [{0, 1}, {1}], [{0}, {1}]).capacities()
+        got = FnPair(chain(2), masks_of([{0, 1}, {1}]), masks_of([{0}, {1}])).capacities()
         assert type(got) is tuple and got == (2, 1)
 
     @pytest.mark.parametrize("budget", [2.5, "2", True, 10.0**6])

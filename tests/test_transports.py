@@ -52,7 +52,7 @@ from fnlab.poset import (
     poset_from_covers,
     subposet_degree,
 )
-from helpers import identity_map, random_retraction, random_subset_view
+from helpers import identity_map, masks_of, random_retraction, random_subset_view
 
 
 class TestRetract:
@@ -92,7 +92,7 @@ class TestRetract:
         Q, P = chain(3), chain(2)
         i = MonotoneMap(P, Q, (0, 2))
         j = MonotoneMap(Q, P, (0, 0, 1))
-        bad = FnPair(Q, [{0}, {1}, {2}], [{0}, {1}, {2}])
+        bad = FnPair(Q, masks_of([{0}, {1}, {2}]), masks_of([{0}, {1}, {2}]))
         with pytest.raises(
             InvalidArgument, match=r"^retract input is not a valid pair: violation \(0, 1, 1\)$"
         ):
@@ -268,7 +268,7 @@ class TestCoproductTransport:
         B = powerset_algebra(1)
         C = coproduct([B])
         P = B.as_poset()
-        bad = FnPair(P, [{0}, {1}], [{0}, {1}])
+        bad = FnPair(P, masks_of([{0}, {1}]), masks_of([{0}, {1}]))
         with pytest.raises(
             InvalidArgument, match=r"^cofactor 0 input is not a valid pair: violation \(0, 1, 1\)$"
         ):
@@ -536,7 +536,7 @@ def _refusals():
     c2, c3, E = chain(2), chain(3), exponential(powerset_algebra(2))
     C, P2 = coproduct([powerset_algebra(1)] * 2), powerset_algebra(2)
     up, flat = MonotoneMap(c2, c3, (0, 2)), MonotoneMap(c3, c2, (0, 0, 1))
-    singletons = FnPair(c2, [{0}, {1}], [{0}, {1}])
+    singletons = FnPair(c2, masks_of([{0}, {1}]), masks_of([{0}, {1}]))
     return [
         (lambda: check_retraction(up, identity_map(c2)),
          "retraction check needs i: P -> Q and j: Q -> P"),
@@ -544,13 +544,13 @@ def _refusals():
          "cofactors must have at least two elements"),
         (lambda: hyperspace_basic_set(E, []), "basic sets need a nonempty family"),
         (lambda: hyperspace_basic_set(E, [0, 1]), "basic set members must be nonzero"),
-        (lambda: verify_single(c2, [{0}]), "h must assign a set to each of the 2 elements"),
+        (lambda: verify_single(c2, [0b01]), "h must assign a set to each of the 2 elements"),
         (lambda: wellorder_map(c2, [0, 0]), "order must be a permutation of the elements"),
         (lambda: interpolant_lookup(trivial_pair(antichain(2)), 0, 1), "0 <= 1 does not hold"),
         (lambda: interpolant_lookup(singletons, 0, 1), "no witness in f(0) ∩ g(1) within [0, 1]"),
-        (lambda: interpolant_lookup(FnPair(c2, [{0}, {1}], [{0}, {0}]), 0, 1),
+        (lambda: interpolant_lookup(FnPair(c2, masks_of([{0}, {1}]), masks_of([{0}, {0}])), 0, 1),
          "no witness in g(0) ∩ f(1) within [0, 1]"),
-        (lambda: transport_retract(FnPair(c3, [{0}, {1}, {2}], [{0}, {1}, {2}]), up, flat),
+        (lambda: transport_retract(FnPair(c3, [1, 2, 4], [1, 2, 4]), up, flat),
          "retract input is not a valid pair: violation (0, 1, 1)"),
         (lambda: transport_retract(trivial_pair(c3), up, MonotoneMap(c3, c2, (0, 0, 0))),
          "j ∘ i is not the identity"),
@@ -582,7 +582,8 @@ def _refusals():
         (lambda: P2.element_index(4), "mask 4 is not an element of the algebra"),
         (lambda: P2.element_index(2.0), "mask 2.0 is not an element of the algebra"),
         (lambda: C.embedded_image(-1), "cofactor index -1 is below 0"),
-        (lambda: FnPair(c2, [[0], [5]], [[0], [1]]), "f(1) mentions elements outside the poset"),
+        (lambda: FnPair(c2, [0b01, 0b100], [0b01, 0b10]), "f(1) mentions elements outside the poset"),
+        (lambda: FnPair(c2, [{0}, 0b10], [0b01, 0b10]), "f(0) must be a mask"),
         (lambda: chain(2.0), "poset size 2.0 is not an integer"),
         (lambda: chain(-1), "poset size -1 is below 0"),
         (lambda: antichain(2.0), "poset size 2.0 is not an integer"),
