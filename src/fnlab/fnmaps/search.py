@@ -4,7 +4,8 @@
 within capacities ``(a, b)`` exists and returns a witness when one does;
 ``feasible`` only decides, and builds no pair.  ``frontier`` reads its
 ``a = 1`` row off the widest cone ``up[x] | down[x]``, which is proved, and
-asks ``feasible`` only from row 2 on.
+asks ``feasible`` only from row 2 on, climbing each row up from the
+diagonal, so it builds no table above a row's point.
 Slot ``2x`` holds ``f(x)`` and slot ``2x + 1`` holds ``g(x)``.  Each map
 has one candidate table, every ``size``-subset of the elements in
 ``combinations`` order; a slot's domain is a bitmask over the indices of
@@ -309,14 +310,19 @@ def frontier(
     diagonal and mirrors the result.  Row ``a = 1`` asks no query: there
     ``f(x) = {x}`` forces ``g(x)`` to hold ``cone(x) = up[x] | down[x]``,
     and ``g(x) = cone(x)`` is valid, so its point is ``(1, w)`` with ``w``
-    the widest cone.  Rows ``a = 2, 3, ...`` start at ``b = w`` and ask
-    :func:`feasible` one ``b`` at a time.  A row stops at the diagonal: below
-    it, ``(a, c)`` with ``c < a`` is the mirror of ``(c, a)``, which row
-    ``c`` already decided, so every point it could add is the mirror of one
-    the walk already has, and no such query is asked.  ``workers`` has no
-    effect beyond being checked to be a plain int of at least 1; it stays
-    only because the benchmark's ``frontier`` and ``oracle`` workloads
-    still pass ``workers=1``.
+    the widest cone.  Row ``a = 2, 3, ...`` asks :func:`feasible` at
+    ``(a, a), (a, a + 1), ...`` below the last row's point ``b`` and keeps
+    the first feasible ``(a, c)``; when none is, the boundary does not drop
+    there.  Feasibility is monotone in ``b``, so ``c`` is the row's least
+    feasible ``b``, and no table is built for a size above it.  A row
+    starts at the diagonal: below it, ``(a, c)`` with ``c < a`` is the
+    mirror of ``(c, a)``, which row ``c`` already decided, so every point it
+    could add is the mirror of one the walk already has, and no such query
+    is asked.
+    The walk ends at the first row whose point is on the diagonal.
+    ``workers`` has no effect beyond being checked to be a plain int of at
+    least 1; it stays only because the benchmark's ``frontier`` and
+    ``oracle`` workloads still pass ``workers=1``.
     When the budget or the candidate cap cuts the walk short, the
     :class:`SizeExceeded` (or :class:`BudgetExceeded`) carries the boundary
     points confirmed so far as ``partial``, which always holds ``(1, w)``
@@ -335,9 +341,11 @@ def frontier(
     try:
         while b > a:
             a += 1
-            while b > a and feasible(P, (a, b - 1), node_budget):
-                b -= 1
-            if b < points[-1][1]:
+            c = a
+            while c < b and not feasible(P, (a, c), node_budget):
+                c += 1
+            if c < b:
+                b = c
                 points.append((a, b))
     except SizeExceeded as e:  # BudgetExceeded too
         # boundary points confirmed so far are true frontier points

@@ -1,6 +1,7 @@
 """What only the tests use: seeded random generators (arbitrary set-valued
 maps, batteries of single maps, retractions and subset views), the writer
-of map files, and the labeled poset counts.
+of map files, the labeled poset counts, and a frontier walk in the other
+direction.
 
 Like :mod:`fnlab.gen`, every generator is driven by an explicit
 :class:`random.Random`, so a test's inputs are reproducible bit for bit.
@@ -12,6 +13,7 @@ import random
 
 from fnlab.errors import InvalidArgument
 from fnlab.fnmaps.core import wellorder_map
+from fnlab.fnmaps.search import feasible
 from fnlab.gen import _check_share
 from fnlab.poset import MonotoneMap, Poset, SubsetView, bits_of, mask_of, poset_from_covers
 from fnlab.serialize import poset_to_obj
@@ -120,3 +122,20 @@ def random_single_maps(P: Poset, rng: random.Random):
     for _ in range(4):
         out.append(random_total_map(P, rng))
     return out
+
+
+def downward_frontier(P: Poset) -> tuple[tuple[int, int], ...]:
+    """The frontier walked down each row: row 1 is ``(1, w)``, ``w`` the
+    widest cone, and row ``a = 2, 3, ...`` starts at the last row's ``b``
+    and asks :func:`feasible` at ``(a, b - 1)`` while ``b > a``, stepping
+    down on each yes; a row that dropped adds ``(a, b)``.  Mirrored and
+    sorted, as :func:`fnlab.frontier` returns its points."""
+    a, b = 1, max(((P.up[x] | P.down[x]).bit_count() for x in range(P.n)), default=1)
+    points = [(a, b)]
+    while b > a:
+        a += 1
+        while b > a and feasible(P, (a, b - 1)):
+            b -= 1
+        if b < points[-1][1]:
+            points.append((a, b))
+    return tuple(sorted({*points, *((b, a) for a, b in points)}))

@@ -24,7 +24,7 @@ from fnlab.oracle import (
     reference_valid_pair,
 )
 from fnlab.poset import antichain, bits_of, chain, diamond, poset_from_covers
-from helpers import masks_of, sets_of
+from helpers import downward_frontier, masks_of, sets_of
 
 # Frontiers past the oracle's n <= 5 reach, frozen from the search. A MILP
 # model of the same problem, solved separately, gave the same points, except
@@ -313,6 +313,25 @@ class TestMirroredQueries:
         assert all(c >= a for a, c in caps), caps
 
 
+class TestRowsClimb:
+    """Row ``a`` asks ``(a, a), (a, a + 1), ...`` below the last row's point
+    and keeps the first feasible one.  Feasibility is monotone in ``b``, so
+    that is the point a walk down from the last row's point finds, and no
+    query is asked above it."""
+
+    def test_chain10_order(self, monkeypatch):
+        caps = asked(monkeypatch)
+        assert frontier(chain(10)).points == FROZEN_BEYOND_ORACLE["chain_10"][1]
+        assert caps == [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3)]
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_matches_downward_walk(self, n):
+        for seed in range(8):
+            for density in (0.2, 0.5):
+                P = random_poset(n, random.Random(f"climb/{n}/{seed}"), density)
+                assert frontier(P).points == downward_frontier(P), (seed, density)
+
+
 class TestHeldMemoBound:
     def test_memo_stays_within_its_bound(self, monkeypatch):
         """A budget-cut query with a small ``held`` memo bound keeps the
@@ -419,29 +438,38 @@ class TestFrontier:
                 assert not feasible(P, (a - 1, b))
 
 
-CAP_CUT = "1511640 candidate sets of size 12 exceed cap 1048576"
+CAP_CUT = "1073280 candidate sets of size 3 exceed cap 1048576"
 
 
 class TestCapCutWalk:
     """A walk the candidate cap cuts short keeps the rows it confirmed.
-    Both tests walk the 20-element star; the second reuses the candidate
-    tables the first one built."""
+    The first two tests walk ``chain(130)``: row 2 refutes ``(2, 2)``, then
+    ``(2, 3)`` is refused; the second test reuses the candidate table the
+    first one built.  The 20-element star has a cone of 20 elements, but
+    its row 2 climbs from the diagonal and is decided at its first query,
+    ``(2, 2)``, without a table of a larger size."""
 
+    long_chain = chain(130)
     star = poset_from_covers(20, [(0, i) for i in range(1, 20)])
 
     def test_size_exceeded_carries_partial(self):
         with pytest.raises(SizeExceeded) as e:
-            frontier(self.star)
+            frontier(self.long_chain)
         assert type(e.value) is SizeExceeded and str(e.value) == CAP_CUT
-        assert e.value.partial == ((1, 20), (20, 1))
+        assert e.value.partial == ((1, 130), (130, 1))
 
     def test_cli_prints_confirmed_rows(self, tmp_path, capsys):
-        path = tmp_path / "star.json"
-        path.write_text(ser.dumps(ser.poset_to_obj(self.star)))
+        path = tmp_path / "chain130.json"
+        path.write_text(ser.dumps(ser.poset_to_obj(self.long_chain)))
         assert main(["frontier", str(path)]) == 3
         captured = capsys.readouterr()
-        assert captured.out == f"1,20\n20,1\n# inconclusive: {CAP_CUT}\n"
+        assert captured.out == f"1,130\n130,1\n# inconclusive: {CAP_CUT}\n"
         assert captured.err == f"error: {CAP_CUT}\n"
+
+    def test_star_is_decided(self, monkeypatch):
+        caps = asked(monkeypatch)
+        assert frontier(self.star).points == ((1, 20), (2, 2), (20, 1))
+        assert caps == [(2, 2)]
 
 
 class TestRowOne:
@@ -462,8 +490,9 @@ class TestRowOne:
 
 
 class TestReach:
-    """Walks the candidate cap refused inside row 1 while that row was
-    searched."""
+    """Walks the candidate cap once refused: inside row 1 while that row was
+    searched, or in row 2 while it walked down from the widest cone (size
+    12 on 24 elements)."""
 
     def test_twenty_element_frontier(self):
         # no second engine has confirmed these points yet (ROADMAP R)
@@ -476,12 +505,16 @@ class TestReach:
             assert reference_valid_pair(P, sets_of(w.f), sets_of(w.g))
         assert search_pair(P, (2, 3)) is None
 
-    def test_twenty_four_elements_cut_at_row_two(self):
+    def test_twenty_four_element_frontier(self):
+        # no second engine has confirmed these points yet (ROADMAP R)
         P = random_poset(24, random.Random("24/0.1"), 0.1)
-        with pytest.raises(SizeExceeded) as e:
-            frontier(P)
-        assert str(e.value) == "32449872 candidate sets of size 12 exceed cap 1048576"
-        assert e.value.partial == ((1, 13), (13, 1))
+        assert frontier(P).points == ((1, 13), (2, 4), (3, 3), (4, 2), (13, 1))
+        w = search_pair(P, (3, 3))
+        assert w is not None and verify_pair(w).valid
+        assert reference_valid_pair(P, sets_of(w.f), sets_of(w.g))
+        # feasible, not search_pair: the search that never restarts runs out
+        # of 2 * 10**6 nodes on this refutation
+        assert not feasible(P, (2, 3))
 
 
 class TestBeyondOracle:
