@@ -271,14 +271,42 @@ class TestRestart:
             feasible(chain(10), (3, 3), budget)
         assert (cut.value.nodes, cut.value.budget) == (budget + 1, budget)
 
+    def test_budget_cut_inside_the_probes(self, monkeypatch):
+        """The root SAC probes count as nodes: a budget that runs out
+        among them stops at ``budget + 1``."""
+        monkeypatch.setattr(search_module, "_RESTART_NODES", 16)
+        with pytest.raises(BudgetExceeded) as cut:
+            feasible(chain(10), (3, 3), 20)
+        assert (cut.value.nodes, cut.value.budget) == (21, 20)
+
     def test_chain10_hard_queries(self):
         """The two chain(10) queries that run past the restart, decided the
         same way, at the same node, on a second run."""
         P = chain(10)
         for _ in range(2):
-            for cap, want, nodes in (((3, 3), True, 1958), ((2, 4), False, 2749)):
+            for cap, want, nodes in (((3, 3), True, 2678), ((2, 4), False, 1117)):
                 assert outcome(feasible, P, cap, nodes) is want
                 assert outcome(feasible, P, cap, nodes - 1) == ("budget", nodes)
+
+    def test_probes_refute_past_the_plain_reach(self):
+        """Chain refutations at a = 2 that the restart alone leaves open
+        for far longer: ``chain(12)`` at (2, 5) took 41928 nodes and
+        ``chain(14)`` at (2, 6) was still open past ``10**5``; the root SAC
+        probes refute them in 1365 and 4001."""
+        assert not feasible(chain(12), (2, 5), 2000)
+        assert not feasible(chain(14), (2, 6), 10**4)
+
+    @pytest.mark.parametrize("restart", [0, 1, 4])
+    def test_probes_match_oracle(self, monkeypatch, restart):
+        """No oracle-sized query reaches the real restart, so move it down.
+        At 0 the weighted search runs from the root with no probe; at 1 and
+        4 the probes run on every query still open there, and refute or
+        prune many of them."""
+        monkeypatch.setattr(search_module, "_RESTART_NODES", restart)
+        posets = [P for n in range(5) for P in enumerate_posets(n)]
+        posets += random.Random("sac/5").sample(list(enumerate_posets(5)), 400)
+        for P in posets:
+            assert frontier(P).points == brute_frontier(P)
 
 
 def asked(monkeypatch):
